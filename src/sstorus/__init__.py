@@ -38,12 +38,14 @@ from .modp import (
     is_prime,
 )
 from .ss_basis import (
+    DENSE_ORACLE_MAX_N,
     CountReport,
     build_H,
     build_Ha,
     build_special,
     dim_closed_form,
     gl11_generators,
+    ss_component_oracle,
     ss_nullspace_oracle,
     verify_basis,
 )

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import canonical as canon
 from . import ss_basis, torus
@@ -177,10 +176,21 @@ def cmd_count(args) -> int:
 
 
 def _grid_from(args, config: dict):
+    """The config's grid, or the default one: a non-empty list of
+    [m, n, p, r] lists of integers (no floats, no booleans)."""
     grid = config.get("grid")
     if grid is None:
         return DEFAULT_GRID
-    return [tuple(int(v) for v in entry) for entry in grid]
+    if not isinstance(grid, list) or not grid:
+        raise ValueError("config grid must be a non-empty list of [m, n, p, r] lists")
+    for entry in grid:
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 4
+            and all(type(v) is int for v in entry)
+        ):
+            raise ValueError(f"config grid entry {entry!r} is not a list of four integers")
+    return [tuple(entry) for entry in grid]
 
 
 def cmd_verify(args) -> int:
@@ -195,8 +205,7 @@ def cmd_verify(args) -> int:
 
     if args.grid:
         specs = [TorusSpec(*entry, cap=cap) for entry in _grid_from(args, config)]
-        with ThreadPoolExecutor(max_workers=min(8, len(specs))) as pool:
-            reports = list(pool.map(ss_basis.verify_basis, specs))
+        reports = [ss_basis.verify_basis(spec) for spec in specs]
         _emit([rep.to_dict() for rep in reports])
         bad = [rep for rep in reports if not rep.passed]
         for rep in bad:

@@ -1,16 +1,18 @@
-"""Supersymmetric basis elements and an independent linear-algebra check.
+"""Supersymmetric basis elements and two independent checks of the basis.
 
 Three constructions produce supersymmetric elements: symmetrized special
 idempotents, the residue sums over all ordinary idempotents, and the class
-sums H attached to canonical labels.  `ss_nullspace_oracle` recomputes the
-whole supersymmetric subspace from its defining linear constraints by exact
-Gaussian elimination, so dimensions, spans and closed-form counts can be
-verified against each other; `verify_basis` bundles those checks into one
+sums H attached to canonical labels.  The supersymmetric subspace is
+recomputed from its defining linear constraints twice: `ss_nullspace_oracle`
+by exact Gaussian elimination, and `ss_component_oracle` by union-find,
+because in idempotent coordinates every constraint equates two coordinates.
+`verify_basis` bundles the dimension, span and closed-form checks into one
 report.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from math import comb
 from typing import List, Optional
@@ -127,6 +129,82 @@ def ss_nullspace_oracle(
     return out
 
 
+def _flat_index(ev: ExponentVector, q: int) -> int:
+    """Position of a label in lexicographic order: mixed radix q over the
+    m + n slots."""
+    t = 0
+    for d in ev.a + ev.b:
+        t = t * q + d
+    return t
+
+
+def _label_components(spec: TorusSpec) -> List[List[int]]:
+    """Connected components of the constraint graph of the supersymmetric
+    subspace, over flat label indices.
+
+    Edges join each label to its adjacent swaps within each block and, where
+    p divides a_1 + b_1, to beta - delta with delta = (+1 at x_1 | -1 at y_1)
+    mod q: the two-term equalities that the rows of `ss_nullspace_oracle`
+    amount to in idempotent coordinates.  Union-find links every root under
+    the smaller one, so each component is listed in increasing order and the
+    components come in order of their least label.
+    """
+    if spec.n < 1:
+        raise ValueError("the supersymmetric subspace needs n >= 1")
+    m, p, q = spec.m, spec.p, spec.q
+    k = m + spec.n
+    weights = [q ** (k - 1 - s) for s in range(k)]
+    swaps = [(s, weights[s] - weights[s + 1]) for s in range(k - 1) if s != m - 1]
+    wx, wy = weights[0], weights[m]
+    parent = list(range(spec.dimension))
+
+    def find(t: int) -> int:
+        while parent[t] != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        return t
+
+    def union(s: int, t: int):
+        rs, rt = find(s), find(t)
+        if rs < rt:
+            parent[rt] = rs
+        elif rt < rs:
+            parent[rs] = rt
+
+    for t, digits in enumerate(itertools.product(range(q), repeat=k)):
+        for s, w in swaps:
+            lo, hi = digits[s], digits[s + 1]
+            if lo < hi:
+                union(t, t + (hi - lo) * w)
+        a, b = digits[0], digits[m]
+        if (a + b) % p == 0:
+            union(t, t + ((a - 1) % q - a) * wx + ((b + 1) % q - b) * wy)
+
+    components: dict = {}
+    for t in range(len(parent)):
+        components.setdefault(find(t), []).append(t)
+    return list(components.values())
+
+
+def _indicators(spec: TorusSpec, components) -> List[TorusElement]:
+    labels = list(spec.labels())
+    return [
+        TorusElement(spec, Basis.IDEMPOTENT, {labels[t]: 1 for t in comp})
+        for comp in components
+    ]
+
+
+def ss_component_oracle(spec: TorusSpec) -> List[TorusElement]:
+    """Basis of the supersymmetric subspace from the connected components of
+    its constraints, in near-linear time.
+
+    The subspace is the functions constant on each component, so the
+    component indicators (coefficient 1, sorted by least label) span it;
+    they are also the reduced echelon basis `ss_nullspace_oracle` returns.
+    """
+    return _indicators(spec, _label_components(spec))
+
+
 def gl11_generators(spec: TorusSpec) -> List[TorusElement]:
     """For m = n = 1: the idempotents h_(a|b) with a + b prime to p, then the
     cyclic sums sum_i h_(i | pl - i mod q) for l = 0 .. q/p - 1."""
@@ -171,9 +249,19 @@ def dim_closed_form(spec: TorusSpec) -> int:
     )
 
 
+# At or below this many labels `verify_basis` also runs the dense oracle and
+# the fp_linalg rank and span checks: the largest spec of the CLI's default
+# grid.
+DENSE_ORACLE_MAX_N = 81
+
+
 @dataclass
 class CountReport:
-    """Outcome of the verification bundle for one algebra."""
+    """Outcome of the verification bundle for one algebra.
+
+    `oracles` names the oracles that ran; it stays out of `to_dict()`, so the
+    JSON report does not depend on the dense threshold.
+    """
 
     spec: TorusSpec
     closed_form: int
@@ -182,6 +270,7 @@ class CountReport:
     h_basis_ok: bool
     partition_ok: bool
     gl11_span_ok: Optional[bool]
+    oracles: tuple = ()
     failures: list = field(default_factory=list, repr=False)
 
     @property
@@ -214,11 +303,15 @@ def verify_basis(spec: TorusSpec) -> CountReport:
     H family is linearly independent; its span, cardinality and the oracle's
     agree with the closed-form count; the classes partition the label set;
     and for m = n = 1 the listed generators span the same space.
+
+    The component oracle always runs, and the checks against it are O(N):
+    class sums with disjoint non-empty supports are independent, and they
+    span the oracle's space exactly when the classes are its components.
+    Up to `DENSE_ORACLE_MAX_N` labels the dense oracle and the rank and span
+    computations run as well, and the two oracles must agree.
     """
     failures = []
-    p = spec.p
-    labels = list(spec.labels())
-    index = {ev: t for t, ev in enumerate(labels)}
+    p, q = spec.p, spec.q
 
     canonicals = enumerate_canonical(spec)
     classes = [enumerate_equivalence_class(c, spec) for c in canonicals]
@@ -226,12 +319,13 @@ def verify_basis(spec: TorusSpec) -> CountReport:
         TorusElement(spec, Basis.IDEMPOTENT, {ev: 1 for ev in cls.members})
         for cls in classes
     ]
+    supports = [[_flat_index(ev, q) for ev in cls.members] for cls in classes]
 
-    seen: dict = {}
-    for cls in classes:
-        for ev in cls.members:
-            seen[ev] = seen.get(ev, 0) + 1
-    partition_ok = len(seen) == len(labels) and all(v == 1 for v in seen.values())
+    counts = [0] * spec.dimension
+    for support in supports:
+        for t in support:
+            counts[t] += 1
+    partition_ok = all(c == 1 for c in counts)
     if not partition_ok:
         failures.append("classes do not partition the label set")
 
@@ -239,16 +333,28 @@ def verify_basis(spec: TorusSpec) -> CountReport:
         if not is_supersymmetric(h):
             failures.append(f"class sum at {c.ev} is not supersymmetric")
 
-    h_vecs = [_coeff_vector(h, index) for h in h_elements]
-    independent = fp_linalg.rank(h_vecs, p) == len(h_vecs)
+    components = _label_components(spec)
+    independent = all(supports) and max(counts, default=0) <= 1
+    span_ok = sorted(supports) == components
+
+    oracles = ("component",)
+    if spec.dimension <= DENSE_ORACLE_MAX_N:
+        oracles += ("dense",)
+        labels = list(spec.labels())
+        index = {ev: t for t, ev in enumerate(labels)}
+        dense = ss_nullspace_oracle(spec)
+        if dense != _indicators(spec, components):
+            failures.append("the dense and component oracles disagree")
+        h_vecs = [_coeff_vector(h, index) for h in h_elements]
+        dense_vecs = [_coeff_vector(o, index) for o in dense]
+        independent = independent and fp_linalg.rank(h_vecs, p) == len(h_vecs)
+        span_ok = (
+            span_ok
+            and len(dense) == len(h_elements)
+            and fp_linalg.same_row_space(h_vecs, dense_vecs, p)
+        )
     if not independent:
         failures.append("class sums are linearly dependent")
-
-    oracle = ss_nullspace_oracle(spec)
-    oracle_vecs = [_coeff_vector(o, index) for o in oracle]
-    span_ok = len(oracle) == len(h_elements) and fp_linalg.same_row_space(
-        h_vecs, oracle_vecs, p
-    )
     if not span_ok:
         failures.append("class-sum span differs from the oracle span")
 
@@ -258,15 +364,25 @@ def verify_basis(spec: TorusSpec) -> CountReport:
         failures.append(
             f"count mismatch: closed form {closed}, enumerated {enumerated}"
         )
-    if len(oracle) != closed:
+    if len(components) != closed:
         failures.append(
-            f"oracle dimension {len(oracle)} differs from closed form {closed}"
+            f"oracle dimension {len(components)} differs from closed form {closed}"
         )
 
     gl11_ok = None
     if spec.m == 1 and spec.n == 1:
-        gen_vecs = [_coeff_vector(g, index) for g in gl11_generators(spec)]
-        gl11_ok = fp_linalg.same_row_space(gen_vecs, oracle_vecs, p)
+        gens = gl11_generators(spec)
+        gen_supports = sorted(
+            [_flat_index(ev, q) for ev in sorted(g.terms)] for g in gens
+        )
+        zero_one = all(c == 1 for g in gens for c in g.terms.values())
+        disjoint = sum(map(len, gen_supports)) == len(
+            set(itertools.chain.from_iterable(gen_supports))
+        )
+        gl11_ok = zero_one and disjoint and gen_supports == components
+        if "dense" in oracles:
+            gen_vecs = [_coeff_vector(g, index) for g in gens]
+            gl11_ok = gl11_ok and fp_linalg.same_row_space(gen_vecs, dense_vecs, p)
         if not gl11_ok:
             failures.append("rank-(1|1) generators do not span the oracle space")
 
@@ -279,9 +395,10 @@ def verify_basis(spec: TorusSpec) -> CountReport:
         spec=spec,
         closed_form=closed,
         enumerated=enumerated,
-        oracle_dim=len(oracle),
+        oracle_dim=len(components),
         h_basis_ok=h_basis_ok,
         partition_ok=partition_ok,
         gl11_span_ok=gl11_ok,
+        oracles=oracles,
         failures=failures,
     )

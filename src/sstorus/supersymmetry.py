@@ -129,31 +129,63 @@ def symmetrize(ev: ExponentVector, spec: TorusSpec) -> TorusElement:
 
 
 def satisfies_dagger(f: TorusElement, i: int, j: int) -> bool:
-    """Whether phi_ij(f) is divisible by x_i + y_j."""
+    """Whether phi_ij(f) is divisible by x_i + y_j, computed through the
+    binomial-basis shift; the independent counterpart of the idempotent-side
+    test inside `is_supersymmetric`."""
     fb = f if f.basis is Basis.BINOMIAL else from_idempotent_basis(f)
     return is_multiple_of_linear(phi(fb, i, j), i, j).holds
+
+
+def _shift_invariant_where_divisible(f: TorusElement, i: int, j: int) -> bool:
+    """Whether phi_ij(f) is divisible by x_i + y_j, read off idempotent
+    coordinates.
+
+    s_ij sends h_(a|b) to the idempotent with a_i + 1 and b_j - 1 (mod q), so
+    phi_ij(f) has coordinate f(beta) - f(beta - delta) at beta.  The step
+    delta keeps a_i + b_j fixed, and divisibility asks for that difference to
+    vanish wherever p divides a_i + b_j.  A violation is nonzero at beta or at
+    beta - delta, so comparing both neighbours of every support label finds
+    it.
+    """
+    spec = f.spec
+    p, q = spec.p, spec.q
+    ix, jy = i - 1, j - 1
+    terms = f.terms
+    for ev, c in terms.items():
+        a, b = ev.a[ix], ev.b[jy]
+        if (a + b) % p:
+            continue
+        for step in (1, -1):
+            nb = ev.replaced_a(ix, (a + step) % q).replaced_b(jy, (b - step) % q)
+            if terms.get(nb, 0) != c:
+                return False
+    return True
 
 
 def is_supersymmetric(f: TorusElement, check_all_pairs: bool = False) -> bool:
     """Bisymmetry plus the (1, 1) divisibility condition.
 
-    With `check_all_pairs` the remaining pairs are recomputed as a
-    diagnostic; for a bisymmetric element they must all agree with (1, 1).
+    Decided in idempotent coordinates, in time linear in the number of terms;
+    binomial input is converted once.  With `check_all_pairs` the remaining
+    pairs are recomputed as a diagnostic; for a bisymmetric element they must
+    all agree with (1, 1).
     """
     spec = f.spec
     if spec.n < 1:
         raise ValueError("supersymmetry needs at least one y variable")
-    sym = is_bisymmetric(f)
-    d11 = satisfies_dagger(f, 1, 1)
-    if check_all_pairs and sym:
+    if not is_bisymmetric(f):
+        return False
+    fi = f if f.basis is Basis.IDEMPOTENT else to_idempotent_basis(f)
+    d11 = _shift_invariant_where_divisible(fi, 1, 1)
+    if check_all_pairs:
         for i in range(1, spec.m + 1):
             for j in range(1, spec.n + 1):
-                if satisfies_dagger(f, i, j) != d11:
+                if _shift_invariant_where_divisible(fi, i, j) != d11:
                     raise RuntimeError(
                         f"divisibility at pair ({i}, {j}) disagrees with (1, 1) "
                         "on a bisymmetric element"
                     )
-    return sym and d11
+    return d11
 
 
 def freeze_slices(f: TorusElement, i: int, j: int) -> dict:

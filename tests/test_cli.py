@@ -179,6 +179,20 @@ class TestVerify:
         assert code == 0
         assert len(json.loads(out)) == 2
 
+    @pytest.mark.parametrize(
+        "grid",
+        [5, [5], [[1, 1, 2]], [[1, 1, 2.7, 1]], [[True, 1, 2, 1]], []],
+        ids=["scalar", "flat-list", "short-entry", "float", "bool", "empty"],
+    )
+    def test_malformed_config_grid_exits_2(self, capsys, tmp_path, grid):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid": grid}))
+        code, out, err = run(capsys, "verify", "--grid", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert "error" in err
+
     def test_check_ss_positive(self, capsys, tmp_path, spec11):
         good = idempotent_h(spec11, ExponentVector((1,), (0,)))
         path = write_element(tmp_path, "good.json", good)

@@ -2,20 +2,24 @@ from math import comb
 
 import pytest
 
-from sstorus import fp_linalg
+from sstorus import fp_linalg, ss_basis
 from sstorus.canonical import (
+    EquivClass,
     canonicalize,
     count_canonical_total,
     enumerate_canonical,
     enumerate_equivalence_class,
     is_ordinary,
 )
+from sstorus.cli import DEFAULT_GRID, main
 from sstorus.ss_basis import (
+    DENSE_ORACLE_MAX_N,
     build_H,
     build_Ha,
     build_special,
     dim_closed_form,
     gl11_generators,
+    ss_component_oracle,
     ss_nullspace_oracle,
     verify_basis,
 )
@@ -177,6 +181,20 @@ class TestOracle:
         assert ss_nullspace_oracle(spec) == ss_nullspace_oracle(spec)
 
 
+class TestComponentOracle:
+    @pytest.mark.parametrize("t", DEFAULT_GRID + [(2, 1, 2, 2), (1, 1, 3, 2), (2, 1, 5, 1)])
+    def test_equals_dense_oracle(self, t):
+        spec = TorusSpec(*t)
+        assert ss_component_oracle(spec) == ss_nullspace_oracle(spec)
+
+    def test_dense_threshold_covers_default_grid(self):
+        assert DENSE_ORACLE_MAX_N >= max(TorusSpec(*t).dimension for t in DEFAULT_GRID)
+
+    def test_rejects_n_zero(self):
+        with pytest.raises(ValueError):
+            ss_component_oracle(TorusSpec(2, 0, 3, 1))
+
+
 class TestGl11Generators:
     def test_p2_r1_list(self):
         spec = TorusSpec(1, 1, 2, 1)
@@ -276,6 +294,16 @@ class TestVerifyBasis:
         assert rep.passed
         assert rep.closed_form == rep.oracle_dim == 5
 
+    def test_records_oracles(self):
+        assert verify_basis(TorusSpec(2, 2, 3, 1)).oracles == ("component", "dense")
+        assert verify_basis(TorusSpec(2, 1, 5, 1)).oracles == ("component",)
+
+    @pytest.mark.parametrize("t, dim", [((2, 2, 5, 1), 131), ((2, 2, 7, 1), 505)])
+    def test_large_specs(self, t, dim):
+        rep = verify_basis(TorusSpec(*t))
+        assert rep.passed, rep.failures
+        assert rep.oracle_dim == rep.closed_form == dim
+
     def test_minimality(self):
         # dropping any class sum strictly shrinks the span
         for t in ((1, 1, 2, 1), (2, 1, 3, 1)):
@@ -299,3 +327,41 @@ class TestClassSizes:
                     size = len(enumerate_equivalence_class(c, spec).members)
                     expected = 3 * p - 2 if c.ev.a[1] == c.ev.a[2] else 6 * p - 6
                     assert size == expected, (p, c)
+
+
+def corrupt_one_class(monkeypatch, spec, mode):
+    """Make `verify_basis` see one wrong class: a member dropped, or a second
+    class merged into it."""
+    original = ss_basis.enumerate_equivalence_class
+    canonicals = enumerate_canonical(spec)
+    target = next(c for c in canonicals if len(original(c, spec).members) > 1)
+    other = next(c for c in canonicals if c != target)
+
+    def corrupted(c, sp):
+        cls = original(c, sp)
+        if c != target:
+            return cls
+        if mode == "drop":
+            return EquivClass(c, cls.members[1:])
+        merged = set(cls.members) | set(original(other, sp).members)
+        return EquivClass(c, tuple(sorted(merged)))
+
+    monkeypatch.setattr(ss_basis, "enumerate_equivalence_class", corrupted)
+
+
+class TestVerifyBasisCatchesCorruption:
+    # (2,1,5,1) is above the dense threshold, (2,1,3,1) below it
+    @pytest.mark.parametrize("t", [(2, 1, 5, 1), (2, 1, 3, 1)])
+    @pytest.mark.parametrize("mode", ["drop", "merge"])
+    def test_reports_failure(self, monkeypatch, capsys, t, mode):
+        spec = TorusSpec(*t)
+        corrupt_one_class(monkeypatch, spec, mode)
+        rep = verify_basis(spec)
+        assert not rep.passed
+        assert not rep.partition_ok and not rep.h_basis_ok
+        assert "class-sum span differs from the oracle span" in rep.failures
+        if mode == "merge":
+            assert "class sums are linearly dependent" in rep.failures
+        argv = ["verify"] + [f"--{k}={v}" for k, v in zip("mnpr", t)]
+        assert main(argv) == 1
+        assert "FAIL" in capsys.readouterr().err

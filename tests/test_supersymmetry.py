@@ -4,6 +4,7 @@ from functools import reduce
 import pytest
 
 from sstorus.canonical import enumerate_canonical
+from sstorus.cli import DEFAULT_GRID
 from sstorus.idempotents import from_idempotent_basis, idempotent_h, to_idempotent_basis
 from sstorus.ss_basis import build_H, build_Ha
 from sstorus.supersymmetry import (
@@ -29,7 +30,7 @@ from sstorus.torus import (
     scale,
     zero,
 )
-from util import random_element
+from util import random_element, random_label
 
 
 def monomial(spec, a, b, c=1):
@@ -305,3 +306,53 @@ class TestStarSystem:
         )
         broken = add(f, monomial(spec, (1,), (1,)))
         assert not star_system_check(broken, quotient, 1, 1)
+
+
+def binomial_route(f):
+    """The reference decision: bisymmetry plus divisibility of phi_11(f)
+    computed through the binomial-basis shift."""
+    return is_bisymmetric(f) and satisfies_dagger(f, 1, 1)
+
+
+def fast_check_cases(spec, rng):
+    """(element, expected verdict or None) pairs covering both verdicts and
+    both bases."""
+    sums = [build_H(c, spec) for c in enumerate_canonical(spec)]
+    for h in sums:
+        yield h, True
+        if len(h.terms) > 1:
+            dropped = rng.choice(sorted(h.terms))
+            terms = {ev: c for ev, c in h.terms.items() if ev != dropped}
+            yield TorusElement(spec, Basis.IDEMPOTENT, terms), False
+    for _ in range(4):
+        yield random_element(spec, rng, max_terms=4, basis=Basis.IDEMPOTENT), None
+        yield random_element(spec, rng, max_terms=4), None
+        yield symmetrize(random_label(spec, rng), spec), None
+        combo = zero(spec, Basis.IDEMPOTENT)
+        for h in rng.sample(sums, min(3, len(sums))):
+            combo = add(combo, scale(rng.randrange(1, spec.p), h))
+        yield combo, True
+        yield from_idempotent_basis(combo), True
+
+
+class TestFastCheckAgainstBinomialRoute:
+    @pytest.mark.parametrize("t", DEFAULT_GRID)
+    @pytest.mark.parametrize("all_pairs", [False, True])
+    def test_agrees_on_grid(self, t, all_pairs):
+        spec = TorusSpec(*t)
+        rng = random.Random(str(t))
+        verdicts = set()
+        for f, expected in fast_check_cases(spec, rng):
+            fast = is_supersymmetric(f, check_all_pairs=all_pairs)
+            assert fast == binomial_route(f), f
+            if expected is not None:
+                assert fast == expected, f
+            verdicts.add(fast)
+        assert verdicts == {True, False}
+
+    def test_idempotent_and_binomial_input_agree(self):
+        rng = random.Random(27)
+        spec = TorusSpec(2, 1, 3, 1)
+        for _ in range(40):
+            f = random_element(spec, rng, max_terms=6, basis=Basis.IDEMPOTENT)
+            assert is_supersymmetric(f) == is_supersymmetric(from_idempotent_basis(f))
