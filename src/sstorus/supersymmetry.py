@@ -165,10 +165,10 @@ def _shift_invariant_where_divisible(f: TorusElement, i: int, j: int) -> bool:
 def is_supersymmetric(f: TorusElement, check_all_pairs: bool = False) -> bool:
     """Bisymmetry plus the (1, 1) divisibility condition.
 
-    Decided in idempotent coordinates, in time linear in the number of terms;
-    binomial input is converted once.  With `check_all_pairs` the remaining
-    pairs are recomputed as a diagnostic; for a bisymmetric element they must
-    all agree with (1, 1).
+    Decided in idempotent coordinates, in time linear in the number of terms
+    of idempotent input; binomial input is converted once.  With
+    `check_all_pairs` the remaining pairs are recomputed as a diagnostic; for
+    a bisymmetric element they must all agree with (1, 1).
     """
     spec = f.spec
     if spec.n < 1:

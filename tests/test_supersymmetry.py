@@ -349,10 +349,3 @@ class TestFastCheckAgainstBinomialRoute:
                 assert fast == expected, f
             verdicts.add(fast)
         assert verdicts == {True, False}
-
-    def test_idempotent_and_binomial_input_agree(self):
-        rng = random.Random(27)
-        spec = TorusSpec(2, 1, 3, 1)
-        for _ in range(40):
-            f = random_element(spec, rng, max_terms=6, basis=Basis.IDEMPOTENT)
-            assert is_supersymmetric(f) == is_supersymmetric(from_idempotent_basis(f))
