@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import comb
 from typing import Iterator, Optional
 
@@ -178,42 +179,72 @@ def canonicalize(ev: ExponentVector, spec: TorusSpec) -> CanonicalLabel:
     return CanonicalLabel(ExponentVector(new_a, new_b), d, e, f)
 
 
-def _neighbors(ev: ExponentVector, spec: TorusSpec) -> Iterator[ExponentVector]:
-    """Images of ev under the generating relations."""
-    p, q = spec.p, spec.q
-    for idx in range(spec.m - 1):
-        yield ev.swapped_a(idx)
-    for idx in range(spec.n - 1):
-        yield ev.swapped_b(idx)
-    if spec.n >= 1 and (ev.a[0] + ev.b[0]) % p == 0:
-        t = (ev.a[0] + ev.b[0]) % q
+def _neighbors(t: tuple, m: int, p: int, q: int) -> Iterator[tuple]:
+    """Images of the flat label t = a + b (a of length m) under the
+    generating relations."""
+    for i in range(len(t) - 1):
+        if i != m - 1 and t[i] != t[i + 1]:
+            yield t[:i] + (t[i + 1], t[i]) + t[i + 2 :]
+    if len(t) > m and (t[0] + t[m]) % p == 0:
+        s = t[0] + t[m]
+        middle, rest = t[1:m], t[m + 1 :]
         for a1 in range(q):
-            yield ev.replaced_a(0, a1).replaced_b(0, (t - a1) % q)
+            yield (a1,) + middle + ((s - a1) % q,) + rest
 
 
 def enumerate_equivalence_class(
     canonical: CanonicalLabel, spec: TorusSpec
 ) -> EquivClass:
     """Breadth-first closure of the canonical label under the generating
-    relations; members come back sorted."""
+    relations, over flat int tuples; members come back sorted."""
     if not is_canonical(canonical.ev, spec):
         raise ValueError(f"{canonical.ev} is not canonical")
-    seen = {canonical.ev}
-    queue = deque([canonical.ev])
+    m = spec.m
+    start = canonical.ev.a + canonical.ev.b
+    seen = {start}
+    queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for nxt in _neighbors(cur, spec):
+        for nxt in _neighbors(cur, m, spec.p, spec.q):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    return EquivClass(canonical, tuple(sorted(seen)))
+    members = tuple(ExponentVector(t[:m], t[m:]) for t in sorted(seen))
+    return EquivClass(canonical, members)
 
 
 def enumerate_canonical(spec: TorusSpec) -> list:
-    """All canonical labels, in lexicographic order."""
-    return [
-        canonicalize(ev, spec) for ev in spec.labels() if is_canonical(ev, spec)
-    ]
+    """All canonical labels, in lexicographic order.
+
+    They are generated from their shape (see the module docstring), so the
+    cost grows with the number of classes, not with q^(m+n).  Defect zero:
+    for each sorted b, the sorted a over the values whose residue avoids
+    every -b_j mod p.  Positive defect: every split (e, f), unit tail of a,
+    unit tail of b with no pair sum divisible by p, and multiple of p at
+    position f of b.
+    """
+    m, n, p, q = spec.m, spec.n, spec.p, spec.q
+    found = []
+    for b in combinations_with_replacement(range(q), n):
+        bad = {-v % p for v in b}
+        allowed = [v for v in range(q) if v % p not in bad]
+        for a in combinations_with_replacement(allowed, m):
+            found.append((a, b, 0, None, None))
+    units = range(1, p)
+    for e in range(1, m + 1):
+        for tail_a in combinations_with_replacement(units, m - e):
+            a = (0,) * e + tail_a
+            allowed = [v for v in units if p - v not in tail_a]
+            for f in range(1, n + 1):
+                d = min(e, f)
+                for tail_b in combinations_with_replacement(allowed, n - f):
+                    for bf in range(0, q, p):
+                        found.append((a, (0,) * (f - 1) + (bf,) + tail_b, d, e, f))
+    # Labels are distinct, so the sort never compares past (a, b).
+    found.sort()
+    for i, (a, b, d, e, f) in enumerate(found):
+        found[i] = CanonicalLabel(ExponentVector(a, b), d, e, f)
+    return found
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple]:
@@ -236,8 +267,10 @@ def count_c(m: int, n: int, q: int, p: int) -> int:
     """Number of defect-zero canonical labels: weakly increasing blocks with
     no pair sum divisible by p.
 
-    Grouping the b block by how many residue classes l it occupies leaves
-    q - l*q/p admissible values for every a entry.
+    Grouping the b block by the l residue classes it occupies leaves
+    q - l*q/p admissible values for every a entry.  The sorted b blocks
+    that occupy every one of l given classes number, by inclusion-exclusion
+    over the classes left out, sum_i (-1)^(l-i) C(l, i) C(i*q/p + n - 1, n).
     """
     if n == 0:
         return comb(q + m - 1, m)
@@ -246,13 +279,11 @@ def count_c(m: int, n: int, q: int, p: int) -> int:
     qp = q // p
     total = 0
     for l in range(1, min(p - 1, n) + 1):
-        inner = 0
-        for comp in compositions(n, l):
-            prod = 1
-            for nj in comp:
-                prod *= comb(qp + nj - 1, nj)
-            inner += prod
-        total += comb(p, l) * comb(q - qp * l + m - 1, m) * inner
+        onto = sum(
+            (-1) ** (l - i) * comb(l, i) * comb(i * qp + n - 1, n)
+            for i in range(l + 1)
+        )
+        total += comb(p, l) * comb(q - qp * l + m - 1, m) * onto
     return total
 
 

@@ -66,7 +66,10 @@ def _load_config(args) -> dict:
 def _effective_cap(args, config: dict) -> int:
     if getattr(args, "cap", None) is not None:
         return args.cap
-    return int(config.get("cap", DEFAULT_CAP))
+    cap = config.get("cap", DEFAULT_CAP)
+    if type(cap) is not int or cap < 1:
+        raise ValueError(f"config cap {cap!r} is not a positive integer")
+    return cap
 
 
 def _spec_from_args(args, cap: int) -> TorusSpec:
@@ -137,7 +140,12 @@ def cmd_basis(args) -> int:
     cap = _effective_cap(args, config)
     spec = _spec_from_args(args, cap)
     if args.oracle:
-        elements = ss_basis.ss_nullspace_oracle(spec)
+        # The dense oracle solves an N x N system; above the threshold the
+        # component oracle returns the same basis in near-linear time.
+        if spec.dimension <= ss_basis.DENSE_ORACLE_MAX_N:
+            elements = ss_basis.ss_nullspace_oracle(spec)
+        else:
+            elements = ss_basis.ss_component_oracle(spec)
     else:
         elements = [
             ss_basis.build_H(c, spec) for c in canon.enumerate_canonical(spec)

@@ -384,18 +384,36 @@ def element_to_dict(f: TorusElement) -> dict:
 
 
 def element_from_dict(data: dict, cap: int = DEFAULT_CAP) -> TorusElement:
+    """Inverse of `element_to_dict`.  Spec fields, exponents and coefficients
+    must be JSON integers: floats and booleans are rejected, not coerced."""
     try:
-        spec = TorusSpec(int(data["m"]), int(data["n"]), int(data["p"]), int(data["r"]), cap=cap)
+        fields = [data[k] for k in ("m", "n", "p", "r")]
         basis = Basis(data["basis"])
         raw = data["terms"]
-    except CapExceededError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed element object: {exc}") from None
+    if any(type(v) is not int for v in fields):
+        raise ValueError(f"malformed element object: m, n, p, r must be integers, got {fields}")
+    if type(raw) is not list:
+        raise ValueError("malformed element object: terms must be a list")
+    spec = TorusSpec(*fields, cap=cap)
     terms = {}
     for entry in raw:
-        ev = ExponentVector(tuple(entry["a"]), tuple(entry["b"]))
-        c = int(entry["c"])
+        a, b, c = (
+            (entry.get("a"), entry.get("b"), entry.get("c"))
+            if type(entry) is dict
+            else (None, None, None)
+        )
+        if not (
+            type(a) is list
+            and type(b) is list
+            and type(c) is int
+            and all(type(v) is int for v in a + b)
+        ):
+            raise ValueError(
+                f"malformed term {entry!r}: needs integer lists a, b and an integer c"
+            )
+        ev = ExponentVector(tuple(a), tuple(b))
         if not 0 < c < spec.p:
             raise ValueError(f"coefficient {c} outside [1, {spec.p})")
         if ev in terms:

@@ -19,6 +19,7 @@ from sstorus.canonical import (
     is_ordinary,
     is_special,
 )
+from sstorus.cli import DEFAULT_GRID
 from sstorus.torus import ExponentVector, TorusSpec
 from util import matching_defect
 
@@ -33,6 +34,33 @@ SMALL_SPECS = [
     (2, 2, 3, 1),
     (3, 1, 2, 1),
 ]
+
+
+def scan_canonical(spec):
+    """Reference for `enumerate_canonical`: test every label with
+    `is_canonical`, in lexicographic order."""
+    return [canonicalize(ev, spec) for ev in spec.labels() if is_canonical(ev, spec)]
+
+
+def count_c_by_compositions(m, n, q, p):
+    """Reference for `count_c`: the sorted b blocks on l given residue
+    classes, each class holding q/p values, counted as a sum over the
+    compositions of n into l parts (how many entries fall in each class)."""
+    if n == 0:
+        return comb(q + m - 1, m)
+    if m == 0:
+        return comb(q + n - 1, n)
+    qp = q // p
+    total = 0
+    for l in range(1, min(p - 1, n) + 1):
+        inner = 0
+        for comp in compositions(n, l):
+            prod = 1
+            for nj in comp:
+                prod *= comb(qp + nj - 1, nj)
+            inner += prod
+        total += comb(p, l) * comb(q - qp * l + m - 1, m) * inner
+    return total
 
 
 class TestDefect:
@@ -200,6 +228,18 @@ class TestClasses:
                 assert totals == {c.ev.total() % q}
                 assert defects == {c.defect}
 
+    @pytest.mark.parametrize("t", DEFAULT_GRID + [(2, 0, 3, 1), (1, 1, 2, 3)])
+    def test_classes_match_signature_grouping(self, t):
+        spec = TorusSpec(*t)
+        groups = {}
+        for ev in spec.labels():
+            groups.setdefault(class_signature(ev, spec), []).append(ev)
+        cans = enumerate_canonical(spec)
+        assert len(cans) == len(groups)
+        for c in cans:
+            members = enumerate_equivalence_class(c, spec).members
+            assert list(members) == groups[class_signature(c.ev, spec)], (t, c)
+
     def test_rejects_non_canonical_input(self):
         spec = TorusSpec(2, 1, 3, 1)
         bad = canonicalize(ExponentVector((1, 2), (0,)), spec)
@@ -235,6 +275,29 @@ class TestEnumerateCanonical:
         assert len(enumerate_canonical(TorusSpec(1, 1, 3, 1))) == 7
         assert len(enumerate_canonical(TorusSpec(2, 1, 3, 1))) == 12
 
+    @pytest.mark.parametrize(
+        "t",
+        [
+            (1, 0, 2, 1),
+            (2, 0, 3, 1),
+            (3, 0, 2, 2),
+            (1, 1, 2, 1),
+            (2, 2, 2, 1),
+            (2, 1, 2, 2),
+            (1, 1, 2, 3),
+            (1, 2, 3, 2),
+            (3, 1, 3, 1),
+            (3, 2, 2, 1),
+            (3, 3, 2, 1),
+            (3, 3, 5, 1),
+            (2, 2, 3, 2),
+        ],
+    )
+    def test_matches_scan(self, t):
+        # label, defect, split indices and order all agree with the scan
+        spec = TorusSpec(*t)
+        assert enumerate_canonical(spec) == scan_canonical(spec)
+
 
 class TestCompositions:
     def test_lexicographic_positive(self):
@@ -256,6 +319,19 @@ class TestCounts:
         assert count_c(1, 1, 2, 2) == 2
         for m in (1, 2, 3):
             assert count_c(m, 0, 4, 2) == comb(4 + m - 1, m)
+
+    def test_count_c_matches_composition_sum(self):
+        for p in (2, 3, 5, 7, 11):
+            for r in (1, 2, 3):
+                q = p**r
+                for m in range(6):
+                    for n in range(9):
+                        assert count_c(m, n, q, p) == count_c_by_compositions(m, n, q, p), (
+                            m,
+                            n,
+                            p,
+                            r,
+                        )
 
     def test_count_c_prime_examples(self):
         assert count_c_prime(0, 0, 5) == 1

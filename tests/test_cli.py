@@ -1,7 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from math import comb
+from pathlib import Path
 
 import pytest
 
+from sstorus import ss_basis
+from sstorus.canonical import count_c
 from sstorus.cli import DEFAULT_GRID, main
 from sstorus.idempotents import idempotent_h
 from sstorus.torus import (
@@ -10,10 +17,14 @@ from sstorus.torus import (
     TorusElement,
     TorusSpec,
     element_from_dict,
+    element_to_dict,
     element_to_json,
     multiply,
     one,
 )
+
+DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -156,6 +167,30 @@ class TestBasis:
         )
         assert code == 3
 
+    def test_oracle_output_unchanged(self, capsys):
+        # golden output of the dense oracle, which runs at this size
+        code, out, _ = run(
+            capsys, "basis", "--m", "2", "--n", "1", "--p", "3", "--r", "1", "--oracle"
+        )
+        assert code == 0
+        assert out == (DATA / "basis_oracle_2_1_3_1.json").read_text()
+
+    def test_oracle_above_dense_threshold_skips_elimination(self, capsys, monkeypatch):
+        spec = TorusSpec(2, 2, 5, 1)
+        assert spec.dimension > ss_basis.DENSE_ORACLE_MAX_N
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense oracle run above the threshold")
+
+        monkeypatch.setattr(ss_basis, "ss_nullspace_oracle", refuse)
+        code, out, _ = run(
+            capsys, "basis", "--m", "2", "--n", "2", "--p", "5", "--r", "1", "--oracle"
+        )
+        assert code == 0
+        expected = [element_to_dict(e) for e in ss_basis.ss_component_oracle(spec)]
+        assert json.loads(out) == expected
+        assert len(expected) == ss_basis.dim_closed_form(spec) == 131
+
 
 class TestVerify:
     def test_single_spec(self, capsys):
@@ -261,6 +296,112 @@ class TestCount:
         data = json.loads(out)
         assert data["enumerated"] is None
         assert data["total"] > 0
+
+    def test_large_n_does_not_hang(self):
+        # n = 30 has 2^29 compositions, so the count must not enumerate them.
+        proc = subprocess.run(
+            [sys.executable, "-m", "sstorus.cli", "count", "--by-defect",
+             "--m", "2", "--n", "30", "--p", "31", "--r", "1"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(proc.stdout)
+        # At q = p each residue class holds one value: a sorted b block on l
+        # distinct values is a composition of 30 into l parts, and each a
+        # entry has 31 - l admissible values.
+        direct = sum(comb(31, l) * comb(29, l - 1) * comb(32 - l, 2) for l in range(1, 31))
+        assert data["by_defect"]["0"] == count_c(2, 30, 31, 31) == direct
+        assert data["enumerated"] is None
+
+
+GOOD_TERM = {"a": [1], "b": [0], "c": 1}
+
+
+def element_json(**fields):
+    """A one-term element at (1,1,3,1), with `fields` replaced."""
+    data = {"m": 1, "n": 1, "p": 3, "r": 1, "basis": "binomial", "terms": [GOOD_TERM]}
+    data.update(fields)
+    return json.dumps(data)
+
+
+MALFORMED_ELEMENTS = {
+    "missing-c": element_json(terms=[{"a": [1], "b": [0]}]),
+    "missing-a": element_json(terms=[{"b": [0], "c": 1}]),
+    "terms-object": element_json(terms=GOOD_TERM),
+    "terms-null": element_json(terms=None),
+    "entry-list": element_json(terms=[[1, 0, 1]]),
+    "entry-number": element_json(terms=[5]),
+    "a-scalar": element_json(terms=[{"a": 1, "b": [0], "c": 1}]),
+    "float-bool-everywhere": element_json(terms=[{"a": [1.7], "b": [True], "c": 1.9}]),
+    "float-exponent": element_json(terms=[{"a": [1.0], "b": [0], "c": 1}]),
+    "bool-exponent": element_json(terms=[{"a": [1], "b": [False], "c": 1}]),
+    "float-coefficient": element_json(terms=[{"a": [1], "b": [0], "c": 1.0}]),
+    "bool-coefficient": element_json(terms=[{"a": [1], "b": [0], "c": True}]),
+    "string-coefficient": element_json(terms=[{"a": [1], "b": [0], "c": "1"}]),
+    "float-m": element_json(m=1.0),
+    "bool-r": element_json(r=True),
+    "not-an-object": json.dumps([GOOD_TERM]),
+}
+
+MALFORMED_CONFIGS = {
+    "cap-list": {"cap": [1]},
+    "cap-float": {"cap": 1.5},
+    "cap-bool": {"cap": True},
+    "cap-zero": {"cap": 0},
+    "cap-string": {"cap": "100"},
+}
+
+
+class TestMalformedInput:
+    """Bad input exits 2 with a message, never 1 or with a traceback."""
+
+    def check(self, code, out, err):
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert "error" in err
+
+    @pytest.mark.parametrize("text", MALFORMED_ELEMENTS.values(), ids=MALFORMED_ELEMENTS.keys())
+    def test_mul_operand(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        good = tmp_path / "good.json"
+        good.write_text(element_json())
+        self.check(*run(capsys, "mul", str(bad), str(good)))
+        self.check(*run(capsys, "mul", str(good), str(bad)))
+
+    @pytest.mark.parametrize("text", MALFORMED_ELEMENTS.values(), ids=MALFORMED_ELEMENTS.keys())
+    def test_check_ss_input(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        self.check(*run(capsys, "verify", "--check-ss", str(bad)))
+
+    def test_well_formed_reference_is_accepted(self, capsys, tmp_path):
+        good = tmp_path / "good.json"
+        good.write_text(element_json())
+        code, out, _ = run(capsys, "mul", str(good), str(good))
+        assert code == 0
+        assert json.loads(out)["terms"]
+
+    @pytest.mark.parametrize("config", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
+    def test_config_cap(self, capsys, tmp_path, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        self.check(
+            *run(capsys, "basis", "--m", "1", "--n", "1", "--p", "2", "--r", "1",
+                 "--config", str(path))
+        )
+
+    def test_config_cap_positive_int_is_used(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"cap": 3}))
+        args = ("basis", "--m", "1", "--n", "1", "--p", "2", "--r", "1", "--config", str(path))
+        assert run(capsys, *args)[0] == 3
+        path.write_text(json.dumps({"cap": 4}))
+        assert run(capsys, *args)[0] == 0
 
 
 class TestDeterminism:
