@@ -30,8 +30,6 @@ from .idempotents import (
     to_idempotent_basis,
 )
 from .modp import (
-    FpScalar,
-    Prime,
     alternating_power_sum,
     binom_mod_p,
     has_padic_carry,

@@ -13,11 +13,9 @@ import sys
 
 from . import canonical as canon
 from . import ss_basis, torus
-from .idempotents import multiply_idempotent_basis
-from .modp import is_prime
+from .modp import _require_prime
 from .supersymmetry import is_supersymmetric
 from .torus import (
-    Basis,
     CapExceededError,
     DEFAULT_CAP,
     ExponentVector,
@@ -64,11 +62,12 @@ def _load_config(args) -> dict:
 
 
 def _effective_cap(args, config: dict) -> int:
-    if getattr(args, "cap", None) is not None:
-        return args.cap
-    cap = config.get("cap", DEFAULT_CAP)
+    if args.cap is not None:
+        source, cap = "--cap", args.cap
+    else:
+        source, cap = "config cap", config.get("cap", DEFAULT_CAP)
     if type(cap) is not int or cap < 1:
-        raise ValueError(f"config cap {cap!r} is not a positive integer")
+        raise ValueError(f"{source} {cap!r} is not a positive integer")
     return cap
 
 
@@ -107,11 +106,7 @@ def cmd_mul(args) -> int:
     cap = _effective_cap(args, config)
     f = _load_element(args.lhs, cap)
     g = _load_element(args.rhs, cap)
-    if f.basis is Basis.IDEMPOTENT and g.basis is Basis.IDEMPOTENT:
-        result = multiply_idempotent_basis(f, g)
-    else:
-        result = torus.multiply(f, g)
-    _emit(torus.element_to_dict(result))
+    _emit(torus.element_to_dict(f * g))
     return EXIT_OK
 
 
@@ -140,12 +135,7 @@ def cmd_basis(args) -> int:
     cap = _effective_cap(args, config)
     spec = _spec_from_args(args, cap)
     if args.oracle:
-        # The dense oracle solves an N x N system; above the threshold the
-        # component oracle returns the same basis in near-linear time.
-        if spec.dimension <= ss_basis.DENSE_ORACLE_MAX_N:
-            elements = ss_basis.ss_nullspace_oracle(spec)
-        else:
-            elements = ss_basis.ss_component_oracle(spec)
+        elements = ss_basis.ss_component_oracle(spec)
     else:
         elements = [
             ss_basis.build_H(c, spec) for c in canon.enumerate_canonical(spec)
@@ -163,8 +153,7 @@ def cmd_count(args) -> int:
     m, n, p, r = args.m, args.n, args.p, args.r
     if m < 1 or n < 1 or r < 1:
         raise ValueError("counting requires m, n, r >= 1")
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
+    _require_prime(p)
     q = p**r
     total = canon._count_canonical_total(m, n, q, p)
     enumerated = None

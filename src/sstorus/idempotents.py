@@ -136,15 +136,10 @@ def from_idempotent_basis(f: TorusElement) -> TorusElement:
     """Substitute each idempotent label by its binomial expansion and sum."""
     _require_basis(f, Basis.IDEMPOTENT)
     spec = f.spec
-    p = spec.p
     acc: dict = {}
     for label, c in f.terms.items():
         for ev, ch in idempotent_h(spec, label).terms.items():
-            nc = (acc.get(ev, 0) + c * ch) % p
-            if nc:
-                acc[ev] = nc
-            elif ev in acc:
-                del acc[ev]
+            acc[ev] = acc.get(ev, 0) + c * ch
     return TorusElement(spec, Basis.BINOMIAL, acc)
 
 
@@ -153,13 +148,6 @@ def multiply_idempotent_basis(f: TorusElement, g: TorusElement) -> TorusElement:
     _require_same_spec(f, g)
     _require_basis(f, Basis.IDEMPOTENT)
     _require_basis(g, Basis.IDEMPOTENT)
-    p = f.spec.p
     small, large = (f.terms, g.terms) if len(f.terms) <= len(g.terms) else (g.terms, f.terms)
-    terms = {}
-    for ev, c in small.items():
-        d = large.get(ev)
-        if d:
-            nc = c * d % p
-            if nc:
-                terms[ev] = nc
+    terms = {ev: c * large[ev] for ev, c in small.items() if ev in large}
     return TorusElement(f.spec, Basis.IDEMPOTENT, terms)

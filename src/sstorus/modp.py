@@ -8,7 +8,6 @@ against plain integer binomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -30,147 +29,44 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Prime:
-    """A modulus that has been checked to be prime."""
-
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
-
-    def __int__(self) -> int:
-        return self.p
-
-    def __index__(self) -> int:
-        return self.p
-
-    def __str__(self) -> str:
-        return str(self.p)
+def _require_prime(p: int):
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
 
 
-def _prime_value(p) -> int:
-    v = p.p if isinstance(p, Prime) else int(p)
-    if not is_prime(v):
-        raise ValueError(f"modulus {v} is not prime")
-    return v
-
-
-@dataclass(frozen=True, eq=False)
-class FpScalar:
-    """Canonical representative of a residue class in the prime field F_p.
-
-    Arithmetic is closed and always reduces back into [0, p); ints mix
-    freely on either side.
-    """
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        p = _prime_value(self.p)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "value", self.value % p)
-
-    def _coerce(self, other):
-        if isinstance(other, FpScalar):
-            if other.p != self.p:
-                raise ValueError("cannot mix scalars with different moduli")
-            return other.value
-        if isinstance(other, int):
-            return other % self.p
-        return None
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FpScalar(self.value + v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FpScalar(self.value - v, self.p)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FpScalar(v - self.value, self.p)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FpScalar(self.value * v, self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpScalar(-self.value, self.p)
-
-    def inverse(self) -> "FpScalar":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return FpScalar(pow(self.value, -1, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, FpScalar):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-def binom_mod_p(n: int, k: int, p) -> FpScalar:
-    """C(n, k) mod p via the base-p digit product.
+def binom_mod_p(n: int, k: int, p: int) -> int:
+    """C(n, k) mod p via the base-p digit product, as a residue in [0, p).
 
     Exact for arbitrarily large n, k; returns 0 whenever k > n.
     """
-    pv = _prime_value(p)
+    _require_prime(p)
     if n < 0 or k < 0:
         raise ValueError("n and k must be non-negative")
     if k > n:
-        return FpScalar(0, pv)
+        return 0
     acc = 1
     while k:
-        nd, n = n % pv, n // pv
-        kd, k = k % pv, k // pv
+        nd, n = n % p, n // p
+        kd, k = k % p, k // p
         if kd > nd:
-            return FpScalar(0, pv)
-        acc = acc * comb(nd, kd) % pv
-    return FpScalar(acc, pv)
+            return 0
+        acc = acc * comb(nd, kd) % p
+    return acc
 
 
-def has_padic_carry(a: int, b: int, p) -> bool:
+def has_padic_carry(a: int, b: int, p: int) -> bool:
     """True iff adding a and b in base p produces at least one carry.
 
     Equivalent to C(a+b, a) being divisible by p.
     """
-    pv = _prime_value(p)
+    _require_prime(p)
     if a < 0 or b < 0:
         raise ValueError("a and b must be non-negative")
     while a and b:
-        if a % pv + b % pv >= pv:
+        if a % p + b % p >= p:
             return True
-        a //= pv
-        b //= pv
+        a //= p
+        b //= p
     return False
 
 

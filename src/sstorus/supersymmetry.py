@@ -43,22 +43,17 @@ def shift_substitute(f: TorusElement, i: int, j: int) -> TorusElement:
     spec = f.spec
     _check_pair(spec, i, j)
     ix, jy = i - 1, j - 1
-    p = spec.p
     acc: dict = {}
     for ev, c in f.terms.items():
         k = ev.a[ix]
         l = ev.b[jy]
-        b_parts = ((l, 1),) if l == 0 else ((l - 1, 1), (l, 1))
+        b_parts = (l,) if l == 0 else (l - 1, l)
         for t in range(k + 1):
-            ca = (-1) ** (k - t) % p
+            ct = -c if (k - t) & 1 else c
             base = ev.replaced_a(ix, t)
-            for lb, cb in b_parts:
+            for lb in b_parts:
                 new = base.replaced_b(jy, lb)
-                nc = (acc.get(new, 0) + c * ca * cb) % p
-                if nc:
-                    acc[new] = nc
-                elif new in acc:
-                    del acc[new]
+                acc[new] = acc.get(new, 0) + ct
     return TorusElement(spec, Basis.BINOMIAL, acc)
 
 
@@ -103,17 +98,15 @@ def is_bisymmetric(f: TorusElement) -> bool:
     """Invariance under permuting the x slots and the y slots separately.
 
     Adjacent transpositions generate both symmetric groups, so checking the
-    generators on the coefficient map suffices.
+    generators on the coefficient map suffices.  Labels are read as flat
+    tuples a + b, so the y slots start at offset m.
     """
-    spec = f.spec
-    terms = f.terms
-    for idx in range(spec.m - 1):
-        for ev, c in terms.items():
-            if terms.get(ev.swapped_a(idx), 0) != c:
-                return False
-    for idx in range(spec.n - 1):
-        for ev, c in terms.items():
-            if terms.get(ev.swapped_b(idx), 0) != c:
+    m, n = f.spec.m, f.spec.n
+    flat = {ev.a + ev.b: c for ev, c in f.terms.items()}
+    for idx in itertools.chain(range(m - 1), range(m, m + n - 1)):
+        for key, c in flat.items():
+            u, v = key[idx], key[idx + 1]
+            if u != v and flat.get(key[:idx] + (v, u) + key[idx + 2 :], 0) != c:
                 return False
     return True
 
@@ -149,15 +142,16 @@ def _shift_invariant_where_divisible(f: TorusElement, i: int, j: int) -> bool:
     """
     spec = f.spec
     p, q = spec.p, spec.q
-    ix, jy = i - 1, j - 1
-    terms = f.terms
-    for ev, c in terms.items():
-        a, b = ev.a[ix], ev.b[jy]
+    ix, jy = i - 1, spec.m + j - 1
+    flat = {ev.a + ev.b: c for ev, c in f.terms.items()}
+    for key, c in flat.items():
+        a, b = key[ix], key[jy]
         if (a + b) % p:
             continue
         for step in (1, -1):
-            nb = ev.replaced_a(ix, (a + step) % q).replaced_b(jy, (b - step) % q)
-            if terms.get(nb, 0) != c:
+            nb = list(key)
+            nb[ix], nb[jy] = (a + step) % q, (b - step) % q
+            if flat.get(tuple(nb), 0) != c:
                 return False
     return True
 

@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator
 
-from .modp import is_prime
+from .modp import _require_prime
 
 DEFAULT_CAP = 10_000_000
 
@@ -108,8 +108,7 @@ class TorusSpec:
             raise ValueError("n must be non-negative")
         if self.r < 1:
             raise ValueError("r must be positive")
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+        _require_prime(self.p)
         if self.dimension > self.cap:
             raise CapExceededError(
                 f"q^(m+n) = {self.dimension} exceeds the label cap {self.cap}"
@@ -145,7 +144,9 @@ class TorusElement:
     """A sparse element: finite map from labels to nonzero residues mod p.
 
     Immutable by convention; every operation returns a fresh element.  Two
-    elements are equal iff their specs, basis tags and term maps agree.
+    elements are equal iff their specs, basis tags and term maps agree.  The
+    constructor is the one place that reduces coefficients mod p and drops
+    zeros, so operations hand it raw integer sums.
     """
 
     __slots__ = ("spec", "basis", "terms")
@@ -247,25 +248,14 @@ def add(f: TorusElement, g: TorusElement) -> TorusElement:
     _require_same_spec(f, g)
     if f.basis is not g.basis:
         raise MismatchError("cannot add elements in different bases")
-    p = f.spec.p
     terms = dict(f.terms)
     for ev, c in g.terms.items():
-        nc = (terms.get(ev, 0) + c) % p
-        if nc:
-            terms[ev] = nc
-        elif ev in terms:
-            del terms[ev]
+        terms[ev] = terms.get(ev, 0) + c
     return TorusElement(f.spec, f.basis, terms)
 
 
 def scale(c, f: TorusElement) -> TorusElement:
-    cv = int(c) % f.spec.p
-    if cv == 0:
-        return zero(f.spec, f.basis)
-    if cv == 1:
-        return f
-    p = f.spec.p
-    return TorusElement(f.spec, f.basis, {ev: cc * cv % p for ev, cc in f.terms.items()})
+    return TorusElement(f.spec, f.basis, {ev: c * cc for ev, cc in f.terms.items()})
 
 
 @lru_cache(maxsize=None)
@@ -315,10 +305,10 @@ def multiply(f: TorusElement, g: TorusElement) -> TorusElement:
         for key2, c2 in gterms:
             c12 = c1 * c2
             for ex, c in _monomial_product(key1, key2, p, q):
-                acc[ex] = (acc.get(ex, 0) + c12 * c) % p
+                acc[ex] = acc.get(ex, 0) + c12 * c
     terms = {}
     for ex, c in acc.items():
-        if c:
+        if c % p:
             terms[ExponentVector(ex[:m], ex[m:])] = c
     return TorusElement(spec, Basis.BINOMIAL, terms)
 
@@ -340,23 +330,14 @@ def multiply_by_coordinate(f: TorusElement, block: str, index: int) -> TorusElem
     else:
         raise ValueError("block must be 'x' or 'y'")
     idx = index - 1
-    p, q = spec.p, spec.q
+    q = spec.q
     acc: dict = {}
-
-    def bump(ev, c):
-        if c:
-            nc = (acc.get(ev, 0) + c) % p
-            if nc:
-                acc[ev] = nc
-            elif ev in acc:
-                del acc[ev]
-
     for ev, c in f.terms.items():
         k = ev.a[idx] if block == "x" else ev.b[idx]
-        bump(ev, c * k)
+        acc[ev] = acc.get(ev, 0) + c * k
         if k + 1 < q:
             up = ev.replaced_a(idx, k + 1) if block == "x" else ev.replaced_b(idx, k + 1)
-            bump(up, c * (k + 1))
+            acc[up] = acc.get(up, 0) + c * (k + 1)
     return TorusElement(spec, Basis.BINOMIAL, acc)
 
 

@@ -168,7 +168,8 @@ class TestBasis:
         assert code == 3
 
     def test_oracle_output_unchanged(self, capsys):
-        # golden output of the dense oracle, which runs at this size
+        # golden output of the dense oracle; the command prints the component
+        # oracle's basis, so this also checks that the two agree
         code, out, _ = run(
             capsys, "basis", "--m", "2", "--n", "1", "--p", "3", "--r", "1", "--oracle"
         )
@@ -393,6 +394,14 @@ class TestMalformedInput:
         self.check(
             *run(capsys, "basis", "--m", "1", "--n", "1", "--p", "2", "--r", "1",
                  "--config", str(path))
+        )
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["basis", "count"])
+    def test_cap_flag(self, capsys, command, cap):
+        self.check(
+            *run(capsys, command, "--m", "1", "--n", "1", "--p", "2", "--r", "1",
+                 f"--cap={cap}")
         )
 
     def test_config_cap_positive_int_is_used(self, capsys, tmp_path):

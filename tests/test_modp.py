@@ -3,8 +3,6 @@ import math
 import pytest
 
 from sstorus.modp import (
-    FpScalar,
-    Prime,
     alternating_power_sum,
     binom_mod_p,
     has_padic_carry,
@@ -24,50 +22,6 @@ def pascal_triangle(limit):
     return rows
 
 
-class TestPrime:
-    def test_accepts_primes(self):
-        for p in (2, 3, 5, 7, 11, 97):
-            assert int(Prime(p)) == p
-
-    def test_rejects_composites(self):
-        for n in (0, 1, 4, 6, 9, 91, 100):
-            with pytest.raises(ValueError):
-                Prime(n)
-
-    def test_usable_as_index(self):
-        assert list(range(Prime(3))) == [0, 1, 2]
-
-
-class TestFpScalar:
-    def test_canonical_representative(self):
-        assert FpScalar(7, 5).value == 2
-        assert FpScalar(-1, 5).value == 4
-
-    def test_arithmetic(self):
-        a = FpScalar(3, 5)
-        b = FpScalar(4, 5)
-        assert a + b == 2
-        assert a - b == 4
-        assert a * b == 2
-        assert -a == 2
-        assert 1 + a == 4
-        assert a.inverse() * a == 1
-        assert int(a) == 3
-        assert bool(FpScalar(0, 5)) is False
-
-    def test_mixed_moduli_rejected(self):
-        with pytest.raises(ValueError):
-            FpScalar(1, 3) + FpScalar(1, 5)
-
-    def test_zero_has_no_inverse(self):
-        with pytest.raises(ZeroDivisionError):
-            FpScalar(0, 3).inverse()
-
-    def test_composite_modulus_rejected(self):
-        with pytest.raises(ValueError):
-            FpScalar(1, 6)
-
-
 class TestBinomModP:
     def test_examples(self):
         assert binom_mod_p(5, 2, 2) == 0  # C(5,2) = 10
@@ -84,7 +38,7 @@ class TestBinomModP:
             for n in range(201):
                 row = rows[n]
                 for k in range(n + 1):
-                    assert binom_mod_p(n, k, p).value == row[k] % p, (n, k, p)
+                    assert binom_mod_p(n, k, p) == row[k] % p, (n, k, p)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -94,8 +48,8 @@ class TestBinomModP:
         with pytest.raises(ValueError):
             binom_mod_p(4, 2, 4)
 
-    def test_accepts_prime_wrapper(self):
-        assert binom_mod_p(6, 3, Prime(5)) == 0  # C(6,3) = 20
+    def test_returns_plain_int(self):
+        assert type(binom_mod_p(7, 2, 5)) is int  # C(7,2) = 21
 
 
 class TestPadicCarry:
@@ -110,6 +64,11 @@ class TestPadicCarry:
                 for b in range(64):
                     carry = has_padic_carry(a, b, p)
                     assert carry == (binom_mod_p(a + b, a, p) == 0), (a, b, p)
+
+    def test_rejects_composite_modulus(self):
+        for n in (0, 1, 4, 6, 9, 91, 100):
+            with pytest.raises(ValueError):
+                has_padic_carry(1, 1, n)
 
 
 class TestAlternatingPowerSum:

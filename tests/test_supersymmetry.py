@@ -185,6 +185,16 @@ class TestBisymmetry:
         f = add(monomial(spec, (1, 0), (0,)), monomial(spec, (0, 1), (0,)))
         assert is_bisymmetric(f)
 
+    @pytest.mark.parametrize("block, idx", [("a", 0), ("a", 1), ("b", 0), ("b", 1)])
+    def test_single_broken_swap_m3_n3(self, block, idx):
+        # (0, 1, 1) is moved only by swapping slots 0, 1 and (0, 0, 1) only
+        # by swapping slots 1, 2; the other block is constant
+        spec = TorusSpec(3, 3, 3, 1)
+        moved, fixed = ((0, 1, 1) if idx == 0 else (0, 0, 1)), (2, 2, 2)
+        ev = ExponentVector(moved, fixed) if block == "a" else ExponentVector(fixed, moved)
+        assert not is_bisymmetric(TorusElement(spec, Basis.IDEMPOTENT, {ev: 1}))
+        assert is_bisymmetric(symmetrize(ev, spec))
+
     def test_symmetrize_orbit(self):
         spec = TorusSpec(2, 1, 3, 1)
         s = symmetrize(ExponentVector((0, 1), (0,)), spec)

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from sstorus.modp import FpScalar
 from sstorus.torus import (
     Basis,
     CapExceededError,
@@ -24,6 +23,8 @@ from sstorus.torus import (
     scale,
     zero,
 )
+from sstorus.idempotents import from_idempotent_basis, to_idempotent_basis
+from sstorus.supersymmetry import phi
 from util import integer_monomial_product, naive_multiply_terms, random_element, random_label
 
 
@@ -93,11 +94,6 @@ class TestElementBasics:
             assert add(f, zero(spec)) == f
             assert scale(0, f) == zero(spec)
             assert add(f, scale(spec.p - 1, f)) == zero(spec)
-
-    def test_scale_accepts_fpscalar(self):
-        spec = TorusSpec(1, 1, 3, 1)
-        f = monomial(spec, (1,), (0,))
-        assert scale(FpScalar(2, 3), f) == scale(2, f)
 
     def test_mismatch_errors(self):
         f = one(TorusSpec(1, 1, 2, 1))
@@ -240,6 +236,69 @@ class TestOperators:
         f = random_element(spec, rng, basis=Basis.IDEMPOTENT)
         g = random_element(spec, rng, basis=Basis.IDEMPOTENT)
         assert f * g == multiply_idempotent_basis(f, g)
+
+
+NORMALISATION_SPECS = [
+    TorusSpec(1, 1, 2, 1),
+    TorusSpec(1, 1, 2, 2),
+    TorusSpec(2, 1, 3, 1),
+    TorusSpec(1, 1, 3, 2),
+    TorusSpec(2, 2, 5, 1),
+]
+
+
+def assert_normalised(f):
+    p = f.spec.p
+    assert all(type(c) is int and 0 < c < p for c in f.terms.values()), f
+
+
+class TestNormalisation:
+    """Every operation returns coefficients in [1, p) and drops zeros."""
+
+    @pytest.mark.parametrize("spec", NORMALISATION_SPECS, ids=repr)
+    def test_random_operands(self, spec):
+        rng = random.Random(spec.dimension)
+        p, m, n = spec.p, spec.m, spec.n
+        for _ in range(8):
+            f = random_element(spec, rng, max_terms=4)
+            g = random_element(spec, rng, max_terms=4)
+            fi, gi = to_idempotent_basis(f), to_idempotent_basis(g)
+            results = [add(f, g), f - g, multiply(f, g), fi, fi * gi, fi + gi]
+            results += [scale(c, f) for c in (-1, 2, p + 1, 7 * p - 1)]
+            results += [multiply_by_coordinate(f, "x", i) for i in range(1, m + 1)]
+            results += [multiply_by_coordinate(f, "y", j) for j in range(1, n + 1)]
+            results += [phi(f, i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+            results.append(from_idempotent_basis(add(fi, gi)))
+            for result in results:
+                assert_normalised(result)
+
+    @pytest.mark.parametrize("spec", NORMALISATION_SPECS, ids=repr)
+    def test_cancelling_operands_give_empty_terms(self, spec):
+        rng = random.Random(spec.dimension + 1)
+        p = spec.p
+        for _ in range(8):
+            f = random_element(spec, rng, max_terms=4)
+            fi = to_idempotent_basis(f)
+            assert add(f, scale(p - 1, f)).terms == {}
+            assert (fi - fi).terms == {}
+            assert scale(p, f).terms == {}
+            assert multiply(f, zero(spec)).terms == {}
+        assert phi(one(spec), 1, 1).terms == {}
+        # the idempotents sum to 1, so every other label cancels
+        units = TorusElement(spec, Basis.IDEMPOTENT, {ev: 1 for ev in spec.labels()})
+        assert from_idempotent_basis(units) == one(spec)
+        # x (C(x, 1) - 1) = 2 C(x, 2): the C(x, 1) terms cancel
+        zero_b = (0,) * spec.n
+        x_minus_one = add(
+            monomial(spec, (1,) + (0,) * (spec.m - 1), zero_b),
+            monomial(spec, (0,) * spec.m, zero_b, p - 1),
+        )
+        expected = (
+            monomial(spec, (2,) + (0,) * (spec.m - 1), zero_b, 2)
+            if spec.q > 2
+            else zero(spec)
+        )
+        assert multiply_by_coordinate(x_minus_one, "x", 1) == expected
 
 
 class TestJson:
