@@ -72,7 +72,6 @@ from .torus import (
     element_from_json,
     element_to_dict,
     element_to_json,
-    mono_product_univariate,
     multiply,
     multiply_by_coordinate,
     multiply_by_linear,

@@ -104,7 +104,6 @@ def class_signature(ev: ExponentVector, spec: TorusSpec):
 
 
 def is_canonical(ev: ExponentVector, spec: TorusSpec) -> bool:
-    spec.check_label(ev)
     p = spec.p
     d = defect(ev, spec)
     a, b = ev.a, ev.b
@@ -158,7 +157,6 @@ def canonicalize(ev: ExponentVector, spec: TorusSpec) -> CanonicalLabel:
     replaced by their residues, and the slot at position f absorbs whatever
     multiple of p keeps the total constant mod q.
     """
-    spec.check_label(ev)
     p, q = spec.p, spec.q
     d = defect(ev, spec)
     if d == 0:
@@ -329,8 +327,8 @@ def _count_canonical_total(m: int, n: int, q: int, p: int) -> int:
 
 def count_canonical_total(spec: TorusSpec) -> int:
     """Total number of canonical labels for the given algebra."""
-    if spec.m < 1 or spec.n < 1:
-        raise ValueError("canonical counting requires m, n >= 1")
+    if spec.n < 1:
+        raise ValueError("canonical counting requires n >= 1")
     return _count_canonical_total(spec.m, spec.n, spec.q, spec.p)
 
 

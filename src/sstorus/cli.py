@@ -13,7 +13,6 @@ import sys
 
 from . import canonical as canon
 from . import ss_basis, torus
-from .modp import _require_prime
 from .supersymmetry import is_supersymmetric
 from .torus import (
     CapExceededError,
@@ -71,14 +70,15 @@ def _effective_cap(args, config: dict) -> int:
     return cap
 
 
-def _spec_from_args(args, cap: int) -> TorusSpec:
-    for name in ("m", "n", "p", "r"):
-        if getattr(args, name, None) is None:
+def _spec_fields(args) -> tuple:
+    fields = (args.m, args.n, args.p, args.r)
+    for name, value in zip("mnpr", fields):
+        if value is None:
             raise ValueError(f"--{name} is required here")
-    return TorusSpec(args.m, args.n, args.p, args.r, cap=cap)
+    return fields
 
 
-def _parse_label(text: str, m: int, n: int) -> ExponentVector:
+def _parse_label(text: str) -> ExponentVector:
     left, sep, right = text.partition("|")
     if not sep:
         raise ValueError("label must look like 'a1,..,am|b1,..,bn'")
@@ -89,34 +89,35 @@ def _parse_label(text: str, m: int, n: int) -> ExponentVector:
             return ()
         return tuple(int(tok) for tok in side.replace(" ", "").split(","))
 
-    a, b = parse_side(left), parse_side(right)
-    if len(a) != m or len(b) != n:
-        raise ValueError(
-            f"label has {len(a)}|{len(b)} entries, expected {m}|{n}"
-        )
-    return ExponentVector(a, b)
+    return ExponentVector(parse_side(left), parse_side(right))
 
 
 def _emit(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def cmd_mul(args) -> int:
-    config = _load_config(args)
-    cap = _effective_cap(args, config)
+def _emit_list(items) -> None:
+    """Print the same text as `_emit(list(items))`, one item at a time, so
+    the whole document is never held in memory."""
+    encode = json.JSONEncoder(indent=2).encode
+    write = sys.stdout.write
+    head = "[\n  "
+    for item in items:
+        write(head + encode(item).replace("\n", "\n  "))
+        head = ",\n  "
+    write("[]\n" if head == "[\n  " else "\n]\n")
+
+
+def cmd_mul(args, config: dict, cap: int) -> int:
     f = _load_element(args.lhs, cap)
     g = _load_element(args.rhs, cap)
     _emit(torus.element_to_dict(f * g))
     return EXIT_OK
 
 
-def cmd_canonical(args) -> int:
-    config = _load_config(args)
-    cap = _effective_cap(args, config)
-    spec = _spec_from_args(args, cap)
-    ev = _parse_label(args.label, spec.m, spec.n)
-    spec.check_label(ev)
-    label = canon.canonicalize(ev, spec)
+def cmd_canonical(args, config: dict, cap: int) -> int:
+    spec = TorusSpec(*_spec_fields(args), cap=cap)
+    label = canon.canonicalize(_parse_label(args.label), spec)
     cls = canon.enumerate_equivalence_class(label, spec)
     _emit(
         {
@@ -130,38 +131,30 @@ def cmd_canonical(args) -> int:
     return EXIT_OK
 
 
-def cmd_basis(args) -> int:
-    config = _load_config(args)
-    cap = _effective_cap(args, config)
-    spec = _spec_from_args(args, cap)
+def cmd_basis(args, config: dict, cap: int) -> int:
+    spec = TorusSpec(*_spec_fields(args), cap=cap)
     if args.oracle:
         elements = ss_basis.ss_component_oracle(spec)
     else:
-        elements = [
-            ss_basis.build_H(c, spec) for c in canon.enumerate_canonical(spec)
-        ]
-    _emit([torus.element_to_dict(e) for e in elements])
+        canonicals = canon.enumerate_canonical(spec)
+        elements = (ss_basis.build_H(c, spec) for c in canonicals)
+    _emit_list(torus.element_to_dict(e) for e in elements)
     return EXIT_OK
 
 
-def cmd_count(args) -> int:
-    config = _load_config(args)
-    cap = _effective_cap(args, config)
-    for name in ("m", "n", "p", "r"):
-        if getattr(args, name) is None:
-            raise ValueError(f"--{name} is required here")
-    m, n, p, r = args.m, args.n, args.p, args.r
-    if m < 1 or n < 1 or r < 1:
-        raise ValueError("counting requires m, n, r >= 1")
-    _require_prime(p)
-    q = p**r
-    total = canon._count_canonical_total(m, n, q, p)
-    enumerated = None
+def cmd_count(args, config: dict, cap: int) -> int:
+    m, n, p, r = _spec_fields(args)
+    if n < 1:
+        raise ValueError("counting requires n >= 1")
     try:
-        spec = TorusSpec(m, n, p, r, cap=cap)
-        enumerated = len(canon.enumerate_canonical(spec))
+        enumerated = len(canon.enumerate_canonical(TorusSpec(m, n, p, r, cap=cap)))
     except CapExceededError:
-        pass
+        # TorusSpec has checked m, r and p before it compared with the cap.
+        enumerated = None
+    q = torus.printable_power(p, r)
+    if q is None:
+        raise ValueError(f"q = {p}^{r} has too many digits to print")
+    total = canon._count_canonical_total(m, n, q, p)
     out = {"total": total, "enumerated": enumerated}
     if args.by_defect:
         by_defect = {"0": canon.count_c(m, n, q, p)}
@@ -172,7 +165,7 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _grid_from(args, config: dict):
+def _grid_from(config: dict):
     """The config's grid, or the default one: a non-empty list of
     [m, n, p, r] lists of integers (no floats, no booleans)."""
     grid = config.get("grid")
@@ -190,10 +183,7 @@ def _grid_from(args, config: dict):
     return [tuple(entry) for entry in grid]
 
 
-def cmd_verify(args) -> int:
-    config = _load_config(args)
-    cap = _effective_cap(args, config)
-
+def cmd_verify(args, config: dict, cap: int) -> int:
     if args.check_ss:
         element = _load_element(args.check_ss, cap)
         ok = is_supersymmetric(element)
@@ -201,7 +191,7 @@ def cmd_verify(args) -> int:
         return EXIT_OK if ok else EXIT_VERIFY
 
     if args.grid:
-        specs = [TorusSpec(*entry, cap=cap) for entry in _grid_from(args, config)]
+        specs = [TorusSpec(*entry, cap=cap) for entry in _grid_from(config)]
         reports = [ss_basis.verify_basis(spec) for spec in specs]
         _emit([rep.to_dict() for rep in reports])
         bad = [rep for rep in reports if not rep.passed]
@@ -210,7 +200,7 @@ def cmd_verify(args) -> int:
                 print(f"FAIL {rep.spec}: {failure}", file=sys.stderr)
         return EXIT_VERIFY if bad else EXIT_OK
 
-    spec = _spec_from_args(args, cap)
+    spec = TorusSpec(*_spec_fields(args), cap=cap)
     report = ss_basis.verify_basis(spec)
     _emit(report.to_dict())
     for failure in report.failures:
@@ -276,7 +266,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        config = _load_config(args)
+        return args.func(args, config, _effective_cap(args, config))
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

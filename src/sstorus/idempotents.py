@@ -26,13 +26,12 @@ from .torus import (
 )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _binomial_table(p: int, q: int):
     """B[v][k] = C(v, k) mod p for 0 <= v, k < q."""
     return tuple(tuple(comb(v, k) % p for k in range(q)) for v in range(q))
 
 
-@lru_cache(maxsize=None)
 def _univariate_terms(p: int, q: int, a: int):
     """Nonzero coefficients of X_a as ((exponent, coeff), ...)."""
     out = []
@@ -47,27 +46,18 @@ def idempotent_univariate(spec: TorusSpec, block: str, index: int, a: int) -> To
     """The idempotent X_a attached to one variable, in the binomial basis."""
     if not 0 <= a < spec.q:
         raise ValueError(f"index a = {a} outside [0, {spec.q})")
-    if block == "x":
-        if not 1 <= index <= spec.m:
-            raise ValueError(f"x index {index} out of range 1..{spec.m}")
-    elif block == "y":
-        if not 1 <= index <= spec.n:
-            raise ValueError(f"y index {index} out of range 1..{spec.n}")
-    else:
-        raise ValueError("block must be 'x' or 'y'")
-    zero_ev = ExponentVector((0,) * spec.m, (0,) * spec.n)
+    slot, m = spec.slot(block, index), spec.m
+    key = [0] * (m + spec.n)
     terms = {}
     for k, c in _univariate_terms(spec.p, spec.q, a):
-        ev = (
-            zero_ev.replaced_a(index - 1, k)
-            if block == "x"
-            else zero_ev.replaced_b(index - 1, k)
-        )
-        terms[ev] = c
+        key[slot] = k
+        terms[ExponentVector(tuple(key[:m]), tuple(key[m:]))] = c
     return TorusElement(spec, Basis.BINOMIAL, terms)
 
 
-@lru_cache(maxsize=None)
+# Room for every label of the largest dense oracle (512 labels, see
+# ss_basis.DENSE_ORACLE_LIMIT); the benchmark workloads use at most 204.
+@lru_cache(maxsize=1024)
 def idempotent_h(spec: TorusSpec, ev: ExponentVector) -> TorusElement:
     """The primitive idempotent h_(a|b), expanded in the binomial basis.
 

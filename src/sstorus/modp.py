@@ -8,24 +8,39 @@ against plain integer binomials.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
+# Deterministic Miller-Rabin: the first 13 prime bases decide primality
+# exactly below psi_13 (Sorenson and Webster, Math. Comp. 86 (2017)).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_LIMIT = 3_317_044_064_679_887_385_961_981
 
-@lru_cache(maxsize=None)
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; cached, meant for small moduli."""
+    """Deterministic Miller-Rabin over the first 13 prime bases.
+
+    Exact for n below `PRIMALITY_LIMIT` (about 3.3e24); larger n raise
+    `ValueError` rather than get a probabilistic answer.
+    """
+    if n >= PRIMALITY_LIMIT:
+        raise ValueError(f"modulus {n} is too large to test for primality")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

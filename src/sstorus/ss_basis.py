@@ -30,7 +30,11 @@ from .canonical import (
 )
 from .idempotents import evaluate_point, idempotent_h
 from .supersymmetry import is_supersymmetric, phi, symmetrize
-from .torus import Basis, ExponentVector, TorusElement, TorusSpec
+from .torus import Basis, CapExceededError, ExponentVector, TorusElement, TorusSpec
+
+# Above this many labels `ss_nullspace_oracle` refuses to build its dense
+# constraint matrix (about 6 s of elimination at this size).
+DENSE_ORACLE_LIMIT = 512
 
 
 def build_H(canonical: CanonicalLabel, spec: TorusSpec) -> TorusElement:
@@ -79,29 +83,28 @@ def ss_nullspace_oracle(
     rows are added for every pair (i, j) instead of (1, 1) alone.
 
     Solved by exact elimination mod p; the result is in reduced echelon form
-    with pivots in lexicographic label order.
+    with pivots in lexicographic label order.  Raises `CapExceededError`
+    above `DENSE_ORACLE_LIMIT` labels.
     """
     if spec.n < 1:
         raise ValueError("the supersymmetric subspace needs n >= 1")
-    p = spec.p
+    if spec.dimension > DENSE_ORACLE_LIMIT:
+        raise CapExceededError(
+            f"the dense oracle at {spec.dimension} labels exceeds its limit "
+            f"of {DENSE_ORACLE_LIMIT}"
+        )
+    p, m = spec.p, spec.m
     labels = list(spec.labels())
-    index = {ev: t for t, ev in enumerate(labels)}
+    index = {ev.a + ev.b: t for t, ev in enumerate(labels)}
     nlab = len(labels)
     rows = []
 
-    for ev in labels:
-        for idx in range(spec.m - 1):
-            other = ev.swapped_a(idx)
-            if ev < other:
+    for key, t in index.items():
+        for idx in itertools.chain(range(m - 1), range(m, m + spec.n - 1)):
+            other = key[:idx] + (key[idx + 1], key[idx]) + key[idx + 2 :]
+            if key < other:
                 row = [0] * nlab
-                row[index[ev]] = 1
-                row[index[other]] = p - 1
-                rows.append(row)
-        for idx in range(spec.n - 1):
-            other = ev.swapped_b(idx)
-            if ev < other:
-                row = [0] * nlab
-                row[index[ev]] = 1
+                row[t] = 1
                 row[index[other]] = p - 1
                 rows.append(row)
 
@@ -314,12 +317,8 @@ def verify_basis(spec: TorusSpec) -> CountReport:
     p, q = spec.p, spec.q
 
     canonicals = enumerate_canonical(spec)
-    classes = [enumerate_equivalence_class(c, spec) for c in canonicals]
-    h_elements = [
-        TorusElement(spec, Basis.IDEMPOTENT, {ev: 1 for ev in cls.members})
-        for cls in classes
-    ]
-    supports = [[_flat_index(ev, q) for ev in cls.members] for cls in classes]
+    h_elements = [build_H(c, spec) for c in canonicals]
+    supports = [[_flat_index(ev, q) for ev in h.terms] for h in h_elements]
 
     counts = [0] * spec.dimension
     for support in supports:
@@ -329,8 +328,10 @@ def verify_basis(spec: TorusSpec) -> CountReport:
     if not partition_ok:
         failures.append("classes do not partition the label set")
 
+    all_supersymmetric = True
     for c, h in zip(canonicals, h_elements):
         if not is_supersymmetric(h):
+            all_supersymmetric = False
             failures.append(f"class sum at {c.ev} is not supersymmetric")
 
     components = _label_components(spec)
@@ -386,11 +387,7 @@ def verify_basis(spec: TorusSpec) -> CountReport:
         if not gl11_ok:
             failures.append("rank-(1|1) generators do not span the oracle space")
 
-    h_basis_ok = (
-        independent
-        and span_ok
-        and not any("not supersymmetric" in f for f in failures)
-    )
+    h_basis_ok = independent and span_ok and all_supersymmetric
     return CountReport(
         spec=spec,
         closed_form=closed,

@@ -30,31 +30,30 @@ from .torus import (
 )
 
 
-def _check_pair(spec: TorusSpec, i: int, j: int):
-    if not 1 <= i <= spec.m:
-        raise ValueError(f"x index {i} out of range 1..{spec.m}")
-    if not 1 <= j <= spec.n:
-        raise ValueError(f"y index {j} out of range 1..{spec.n}")
+def _put(key: tuple, slot: int, value: int) -> tuple:
+    return key[:slot] + (value,) + key[slot + 1 :]
 
 
 def shift_substitute(f: TorusElement, i: int, j: int) -> TorusElement:
     """Apply the shift x_i -> x_i - 1, y_j -> y_j + 1 termwise."""
     _require_basis(f, Basis.BINOMIAL)
     spec = f.spec
-    _check_pair(spec, i, j)
-    ix, jy = i - 1, j - 1
+    ix, jy = spec.slot("x", i), spec.slot("y", j)
+    m = spec.m
     acc: dict = {}
     for ev, c in f.terms.items():
-        k = ev.a[ix]
-        l = ev.b[jy]
+        key = list(ev.a + ev.b)
+        k, l = key[ix], key[jy]
         b_parts = (l,) if l == 0 else (l - 1, l)
         for t in range(k + 1):
             ct = -c if (k - t) & 1 else c
-            base = ev.replaced_a(ix, t)
+            key[ix] = t
             for lb in b_parts:
-                new = base.replaced_b(jy, lb)
+                key[jy] = lb
+                new = tuple(key)
                 acc[new] = acc.get(new, 0) + ct
-    return TorusElement(spec, Basis.BINOMIAL, acc)
+    terms = {ExponentVector(ex[:m], ex[m:]): c for ex, c in acc.items()}
+    return TorusElement(spec, Basis.BINOMIAL, terms)
 
 
 def phi(f: TorusElement, i: int, j: int) -> TorusElement:
@@ -82,12 +81,12 @@ def is_multiple_of_linear(g: TorusElement, i: int, j: int) -> DaggerWitness:
     wherever p divides a_i + b_j.
     """
     spec = g.spec
-    _check_pair(spec, i, j)
+    ix, jy = spec.slot("x", i), spec.slot("y", j) - spec.m
     gi = g if g.basis is Basis.IDEMPOTENT else to_idempotent_basis(g)
     p = spec.p
     quot = {}
     for ev, c in gi.terms.items():
-        s = (ev.a[i - 1] + ev.b[j - 1]) % p
+        s = (ev.a[ix] + ev.b[jy]) % p
         if s == 0:
             return DaggerWitness(False, None)
         quot[ev] = c * pow(s, -1, p) % p
@@ -113,7 +112,6 @@ def is_bisymmetric(f: TorusElement) -> bool:
 
 def symmetrize(ev: ExponentVector, spec: TorusSpec) -> TorusElement:
     """Sum of h over the distinct permutations of ev, coefficient 1 each."""
-    spec.check_label(ev)
     orbit = set()
     for pa in set(itertools.permutations(ev.a)):
         for pb in set(itertools.permutations(ev.b)):
@@ -142,7 +140,7 @@ def _shift_invariant_where_divisible(f: TorusElement, i: int, j: int) -> bool:
     """
     spec = f.spec
     p, q = spec.p, spec.q
-    ix, jy = i - 1, spec.m + j - 1
+    ix, jy = spec.slot("x", i), spec.slot("y", j)
     flat = {ev.a + ev.b: c for ev, c in f.terms.items()}
     for key, c in flat.items():
         a, b = key[ix], key[jy]
@@ -190,8 +188,7 @@ def freeze_slices(f: TorusElement, i: int, j: int) -> dict:
     """
     _require_basis(f, Basis.BINOMIAL)
     spec = f.spec
-    _check_pair(spec, i, j)
-    ix, jy = i - 1, j - 1
+    ix, jy = spec.slot("x", i), spec.slot("y", j) - spec.m
     spec11 = TorusSpec(1, 1, spec.p, spec.r, cap=spec.cap)
     grouped: dict = {}
     for ev, c in f.terms.items():
@@ -223,44 +220,43 @@ def star_system_check(
     _require_basis(a_coeffs, Basis.BINOMIAL)
     _require_basis(b_coeffs, Basis.BINOMIAL)
     spec = a_coeffs.spec
-    _check_pair(spec, i, j)
-    ix, jy = i - 1, j - 1
+    ix, jy = spec.slot("x", i), spec.slot("y", j)
     p, q = spec.p, spec.q
-    A = a_coeffs.terms
-    B = b_coeffs.terms
+    A = {ev.a + ev.b: c for ev, c in a_coeffs.terms.items()}
+    B = {ev.a + ev.b: c for ev, c in b_coeffs.terms.items()}
 
     candidates = set()
-    for ev in A:
-        bj = ev.b[jy]
-        for t in range(ev.a[ix] + 1):
-            lam = ev.replaced_a(ix, t)
+    for key in A:
+        bj = key[jy]
+        for t in range(key[ix] + 1):
+            lam = _put(key, ix, t)
             candidates.add(lam)
             if bj > 0:
-                candidates.add(lam.replaced_b(jy, bj - 1))
-    for ev in B:
-        candidates.add(ev)
-        if ev.a[ix] + 1 < q:
-            candidates.add(ev.replaced_a(ix, ev.a[ix] + 1))
-        if ev.b[jy] + 1 < q:
-            candidates.add(ev.replaced_b(jy, ev.b[jy] + 1))
+                candidates.add(_put(lam, jy, bj - 1))
+    for key in B:
+        candidates.add(key)
+        if key[ix] + 1 < q:
+            candidates.add(_put(key, ix, key[ix] + 1))
+        if key[jy] + 1 < q:
+            candidates.add(_put(key, jy, key[jy] + 1))
 
     for lam in candidates:
-        li, lj = lam.a[ix], lam.b[jy]
+        li, lj = lam[ix], lam[jy]
         lhs = 0
         for t in range(li, q):
             sign = -1 if (t - li) & 1 else 1
-            shifted = lam.replaced_a(ix, t)
+            shifted = _put(lam, ix, t)
             for pj in (lj, lj + 1):
                 if pj >= q or (t == li and pj == lj):
                     continue
-                c = A.get(shifted.replaced_b(jy, pj), 0)
+                c = A.get(_put(shifted, jy, pj), 0)
                 if c:
                     lhs -= sign * c
         rhs = (li + lj) * B.get(lam, 0)
         if li:
-            rhs += li * B.get(lam.replaced_a(ix, li - 1), 0)
+            rhs += li * B.get(_put(lam, ix, li - 1), 0)
         if lj:
-            rhs += lj * B.get(lam.replaced_b(jy, lj - 1), 0)
+            rhs += lj * B.get(_put(lam, jy, lj - 1), 0)
         if (lhs - rhs) % p:
             return False
     return True

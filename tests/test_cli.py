@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from math import comb
@@ -8,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from sstorus import ss_basis
-from sstorus.canonical import count_c
-from sstorus.cli import DEFAULT_GRID, main
+from sstorus.canonical import count_c, enumerate_canonical
+from sstorus.cli import DEFAULT_GRID, _emit_list, main
 from sstorus.idempotents import idempotent_h
 from sstorus.torus import (
     Basis,
@@ -191,6 +192,22 @@ class TestBasis:
         expected = [element_to_dict(e) for e in ss_basis.ss_component_oracle(spec)]
         assert json.loads(out) == expected
         assert len(expected) == ss_basis.dim_closed_form(spec) == 131
+
+    @pytest.mark.parametrize("flags", [(), ("--oracle",)], ids=["class-sums", "oracle"])
+    def test_streamed_output_equals_one_json_document(self, capsys, flags):
+        spec = TorusSpec(2, 2, 3, 1)
+        if flags:
+            elements = ss_basis.ss_component_oracle(spec)
+        else:
+            elements = [ss_basis.build_H(c, spec) for c in enumerate_canonical(spec)]
+        code, out, _ = run(capsys, "basis", "--m", "2", "--n", "2", "--p", "3", "--r", "1", *flags)
+        assert code == 0
+        assert out == json.dumps([element_to_dict(e) for e in elements], indent=2) + "\n"
+
+    def test_emit_list_matches_json_dumps(self, capsys):
+        for items in ([], [{}], [1, "a\nb"], [{"a": [], "b": [[1, 2], {"c": None}]}, []]):
+            _emit_list(iter(items))
+            assert capsys.readouterr().out == json.dumps(items, indent=2) + "\n"
 
 
 class TestVerify:
@@ -411,6 +428,55 @@ class TestMalformedInput:
         assert run(capsys, *args)[0] == 3
         path.write_text(json.dumps({"cap": 4}))
         assert run(capsys, *args)[0] == 0
+
+
+def spec_flags(m, n, p, r):
+    return ["--m", str(m), "--n", str(n), "--p", str(p), "--r", str(r)]
+
+
+M61 = 2**61 - 1  # a prime
+# argv (HUGE_M names an element file with m = 10^12 at p = 3), exit code and
+# a piece of the expected message.  The numbers are large enough that any
+# power, trial division or decimal conversion of them would hang or fail.
+INPUT_GATE = {
+    "basis-m14000": (["basis", *spec_flags(14000, 1, 2, 1)], 3, "2^14001 exceeds"),
+    "basis-m15000": (["basis", *spec_flags(15000, 1, 2, 1)], 3, "2^15001 exceeds"),
+    "basis-huge-r": (["basis", *spec_flags(1, 1, 2, 3_000_000_000)], 3, "label cap"),
+    "mul-huge-m": (["mul", "HUGE_M", "HUGE_M"], 3, "3^1000000000001 exceeds"),
+    "count-huge-r": (["count", *spec_flags(1, 1, 2, 3_000_000_000)], 2, "too many digits"),
+    "count-large-r": (["count", *spec_flags(1, 1, 2, 30_000_000)], 2, "too many digits"),
+    "count-mersenne-prime": (["count", *spec_flags(1, 1, M61, 1)], 0, ""),
+    "basis-mersenne-prime": (["basis", *spec_flags(1, 1, M61, 1)], 3, "label cap"),
+    "basis-composite-over-cap": (["basis", *spec_flags(1, 1, 2**61 + 1, 1)], 2, "not prime"),
+    "basis-p-beyond-primality-limit": (["basis", *spec_flags(1, 1, 2**89 - 1, 1)], 2, "too large"),
+    "count-p-beyond-primality-limit": (["count", *spec_flags(1, 1, 2**89 - 1, 1)], 2, "too large"),
+}
+
+
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("argv, code, message", INPUT_GATE.values(), ids=INPUT_GATE.keys())
+def test_input_gate_is_fast_and_exact(tmp_path, argv, code, message):
+    """Each input is decided in seconds, in a child limited to 2 GB."""
+    huge = tmp_path / "huge.json"
+    huge.write_text(element_json(m=10**12, terms=[]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sstorus.cli", *(str(huge) if a == "HUGE_M" else a for a in argv)],
+        capture_output=True,
+        text=True,
+        timeout=5,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        preexec_fn=limit_address_space,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+    if code:
+        assert proc.stdout == ""
+    else:
+        assert json.loads(proc.stdout) == {"total": M61 * (M61 - 1) + 1, "enumerated": None}
 
 
 class TestDeterminism:

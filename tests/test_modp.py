@@ -3,6 +3,7 @@ import math
 import pytest
 
 from sstorus.modp import (
+    PRIMALITY_LIMIT,
     alternating_power_sum,
     binom_mod_p,
     has_padic_carry,
@@ -94,3 +95,36 @@ class TestAlternatingPowerSum:
 
 def test_is_prime_basics():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def trial_division(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if trial_division(n)
+    ]
+
+
+def test_is_prime_large_moduli():
+    assert is_prime(2**61 - 1)
+    assert is_prime(2**31 - 1)
+    assert not is_prime(2**61 + 1)
+    # strong pseudoprimes to the first 9 and to the first 12 prime bases
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(PRIMALITY_LIMIT - 2)
+
+
+def test_is_prime_refuses_moduli_beyond_exact_range():
+    for n in (PRIMALITY_LIMIT, 2**89 - 1):
+        with pytest.raises(ValueError, match="too large"):
+            is_prime(n)

@@ -24,7 +24,15 @@ from sstorus.ss_basis import (
     verify_basis,
 )
 from sstorus.supersymmetry import is_supersymmetric, symmetrize
-from sstorus.torus import Basis, ExponentVector, TorusElement, TorusSpec, add, zero
+from sstorus.torus import (
+    Basis,
+    CapExceededError,
+    ExponentVector,
+    TorusElement,
+    TorusSpec,
+    add,
+    zero,
+)
 from util import coeff_vectors
 
 
@@ -179,6 +187,18 @@ class TestOracle:
     def test_deterministic_echelon_output(self):
         spec = TorusSpec(1, 1, 3, 1)
         assert ss_nullspace_oracle(spec) == ss_nullspace_oracle(spec)
+
+    def test_work_guard_fires_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the guard let the oracle start")
+
+        monkeypatch.setattr(ss_basis, "idempotent_h", no_work)
+        monkeypatch.setattr(ss_basis.TorusSpec, "labels", no_work)
+        with pytest.raises(CapExceededError, match="390625 labels"):
+            ss_nullspace_oracle(TorusSpec(2, 2, 5, 2))
+
+    def test_work_guard_admits_verify_and_tested_sizes(self):
+        assert ss_basis.DENSE_ORACLE_LIMIT >= max(DENSE_ORACLE_MAX_N, 125)
 
 
 class TestComponentOracle:

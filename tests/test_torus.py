@@ -4,6 +4,7 @@ import random
 import pytest
 
 from sstorus.torus import (
+    MAX_PRINT_BITS,
     Basis,
     CapExceededError,
     ExponentVector,
@@ -15,11 +16,11 @@ from sstorus.torus import (
     element_from_json,
     element_to_dict,
     element_to_json,
-    mono_product_univariate,
     multiply,
     multiply_by_coordinate,
     multiply_by_linear,
     one,
+    printable_power,
     scale,
     zero,
 )
@@ -67,12 +68,61 @@ class TestSpec:
     def test_cap_not_part_of_identity(self):
         assert TorusSpec(1, 1, 2, 1) == TorusSpec(1, 1, 2, 1, cap=100)
 
+    def test_slot_positions(self):
+        spec = TorusSpec(2, 3, 2, 1)
+        assert [spec.slot("x", i) for i in (1, 2)] == [0, 1]
+        assert [spec.slot("y", j) for j in (1, 2, 3)] == [2, 3, 4]
+
+    @pytest.mark.parametrize(
+        "block, index, message",
+        [
+            ("x", 0, "x index 0 out of range 1..2"),
+            ("x", 3, "x index 3 out of range 1..2"),
+            ("y", 4, "y index 4 out of range 1..3"),
+            ("z", 1, "block must be 'x' or 'y'"),
+        ],
+    )
+    def test_slot_rejects(self, block, index, message):
+        with pytest.raises(ValueError, match=message):
+            TorusSpec(2, 3, 2, 1).slot(block, index)
+
+    def test_cap_decided_from_bit_lengths(self):
+        # q^(m+n) = 2^6000000000 would take minutes and gigabytes to form.
+        with pytest.raises(CapExceededError, match=r"= 2\^6000000000 exceeds"):
+            TorusSpec(1, 1, 2, 3_000_000_000)
+        with pytest.raises(CapExceededError, match=r"= 1024 exceeds the label cap 1023"):
+            TorusSpec(1, 1, 2, 5, cap=1023)
+        assert TorusSpec(1, 1, 2, 5, cap=1024).dimension == 1024
+
+    def test_printable_power(self):
+        e = 8000  # then the largest e with 3^e within MAX_PRINT_BITS bits
+        while (3 ** (e + 1)).bit_length() <= MAX_PRINT_BITS:
+            e += 1
+        assert printable_power(3, e) == 3**e
+        assert printable_power(3, e + 1) is None
+        assert printable_power(2, MAX_PRINT_BITS - 1) == 2 ** (MAX_PRINT_BITS - 1)
+        assert printable_power(2, MAX_PRINT_BITS) is None
+        assert printable_power(2, 10**12) is None
+
+    def test_primality_checked_before_cap(self):
+        with pytest.raises(ValueError, match="not prime") as info:
+            TorusSpec(1, 1, 2**61 + 1, 1)
+        assert not isinstance(info.value, CapExceededError)
+
 
 class TestElementBasics:
     def test_normalization_drops_zeros(self):
         spec = TorusSpec(1, 1, 3, 1)
         f = TorusElement(spec, Basis.BINOMIAL, {ExponentVector((1,), (0,)): 3})
         assert f.is_zero()
+
+    def test_label_entries_must_be_int(self):
+        for a, b in [((1.7,), (True,)), ((1,), (False,)), ((1.0,), (0,)), ((1,), ("0",))]:
+            with pytest.raises(ValueError, match="must be integers"):
+                ExponentVector(a, b)
+        ev = ExponentVector([1, 2], [0])
+        assert (ev.a, ev.b) == ((1, 2), (0,))
+        assert ev == ExponentVector((1, 2), (0,))
 
     def test_label_validation(self):
         spec = TorusSpec(1, 1, 2, 1)
@@ -108,14 +158,21 @@ class TestElementBasics:
 
 
 class TestMonoProduct:
+    """C(x, k_a) C(x, k_b) in one variable, through `multiply`."""
+
+    @staticmethod
+    def product(k_a, k_b, spec):
+        f = multiply(monomial(spec, (k_a,), (0,)), monomial(spec, (k_b,), (0,)))
+        return {ev.a[0]: c for ev, c in f.terms.items()}
+
     def test_examples(self):
-        assert mono_product_univariate(1, 1, TorusSpec(1, 1, 3, 1)) == {2: 2, 1: 1}
-        assert mono_product_univariate(1, 1, TorusSpec(1, 1, 2, 1)) == {1: 1}
-        assert mono_product_univariate(1, 2, TorusSpec(1, 1, 5, 1)) == {3: 3, 2: 2}
+        assert self.product(1, 1, TorusSpec(1, 1, 3, 1)) == {2: 2, 1: 1}
+        assert self.product(1, 1, TorusSpec(1, 1, 2, 1)) == {1: 1}
+        assert self.product(1, 2, TorusSpec(1, 1, 5, 1)) == {3: 3, 2: 2}
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            mono_product_univariate(2, 0, TorusSpec(1, 1, 2, 1))
+            self.product(2, 0, TorusSpec(1, 1, 2, 1))
 
 
 class TestMultiply:
@@ -211,8 +268,8 @@ class TestCoordinateMultiplication:
         y1 = monomial(spec, (0, 0), (1, 0))
         for _ in range(25):
             f = random_element(spec, rng)
-            expected = add(multiply(f, x2), multiply(f, y1))
-            assert multiply_by_linear(f, 2, 1) == expected
+            expected = naive_multiply_terms(add(x2, y1), f)
+            assert multiply_by_linear(f, 2, 1).terms == expected
 
 
 class TestOperators:
