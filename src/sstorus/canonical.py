@@ -56,35 +56,36 @@ def is_ordinary(ev: ExponentVector, spec: TorusSpec) -> bool:
     return not is_special(ev, spec)
 
 
-def _residue_counts(ev: ExponentVector, p: int):
-    ca = [0] * p
-    for v in ev.a:
-        ca[v % p] += 1
-    cb = [0] * p
+def _unmatched_residues(ev: ExponentVector, p: int):
+    """Residues of the entries left out of a maximum matching, one sorted
+    tuple per block.
+
+    Compatible pairs are those of opposite residues, so the compatibility
+    graph is a disjoint union of complete bipartite pieces, one per residue,
+    and matching each a entry to any b entry still free in its piece is
+    maximum.  The work is O(m + n), whatever p is.
+    """
+    free = {}
     for v in ev.b:
-        cb[v % p] += 1
-    return ca, cb
+        v %= p
+        free[v] = free.get(v, 0) + 1
+    ra = []
+    for v in ev.a:
+        v %= p
+        partner = -v % p
+        k = free.get(partner)
+        if k:
+            free[partner] = k - 1
+        else:
+            ra.append(v)
+    rb = [tau for tau, k in free.items() for _ in range(k)]
+    return tuple(sorted(ra)), tuple(sorted(rb))
 
 
 def defect(ev: ExponentVector, spec: TorusSpec) -> int:
-    """Maximum number of disjoint pairs (i, j) with a_i + b_j = 0 mod p.
-
-    The compatibility graph is a disjoint union of complete bipartite
-    pieces, one per residue, so a residue count realizes the maximum
-    matching.
-    """
+    """Maximum number of disjoint pairs (i, j) with a_i + b_j = 0 mod p."""
     spec.check_label(ev)
-    p = spec.p
-    ca, cb = _residue_counts(ev, p)
-    return sum(min(ca[rho], cb[(p - rho) % p]) for rho in range(p))
-
-
-def _unmatched_residues(ev: ExponentVector, p: int):
-    """Residue counts of the entries left out of a maximum matching."""
-    ca, cb = _residue_counts(ev, p)
-    ua = [ca[rho] - min(ca[rho], cb[(p - rho) % p]) for rho in range(p)]
-    ub = [cb[tau] - min(cb[tau], ca[(p - tau) % p]) for tau in range(p)]
-    return ua, ub
+    return len(ev.a) - len(_unmatched_residues(ev, spec.p)[0])
 
 
 def class_signature(ev: ExponentVector, spec: TorusSpec):
@@ -96,11 +97,7 @@ def class_signature(ev: ExponentVector, spec: TorusSpec):
     d = defect(ev, spec)
     if d == 0:
         return (0, tuple(sorted(ev.a)), tuple(sorted(ev.b)))
-    p = spec.p
-    ua, ub = _unmatched_residues(ev, p)
-    ra = tuple(rho for rho in range(p) for _ in range(ua[rho]))
-    rb = tuple(tau for tau in range(p) for _ in range(ub[tau]))
-    return (d, ra, rb, ev.total() % spec.q)
+    return (d, *_unmatched_residues(ev, spec.p), ev.total() % spec.q)
 
 
 def is_canonical(ev: ExponentVector, spec: TorusSpec) -> bool:
@@ -163,17 +160,13 @@ def canonicalize(ev: ExponentVector, spec: TorusSpec) -> CanonicalLabel:
         return CanonicalLabel(
             ExponentVector(tuple(sorted(ev.a)), tuple(sorted(ev.b))), 0
         )
-    ua, ub = _unmatched_residues(ev, p)
-    tail_a = tuple(rho for rho in range(1, p) for _ in range(ua[rho]))
-    tail_b = tuple(tau for tau in range(1, p) for _ in range(ub[tau]))
-    e = d + ua[0]
-    f = d + ub[0]
-    residue_sum = sum(rho * ua[rho] for rho in range(p)) + sum(
-        tau * ub[tau] for tau in range(p)
-    )
-    bf = (ev.total() - residue_sum) % q
-    new_a = (0,) * e + tail_a
-    new_b = (0,) * (f - 1) + (bf,) + tail_b
+    ra, rb = _unmatched_residues(ev, p)
+    # Zero residues sort first: they join the matched zeros of the shape.
+    e = d + ra.count(0)
+    f = d + rb.count(0)
+    bf = (ev.total() - sum(ra) - sum(rb)) % q
+    new_a = (0,) * e + ra[e - d :]
+    new_b = (0,) * (f - 1) + (bf,) + rb[f - d :]
     return CanonicalLabel(ExponentVector(new_a, new_b), d, e, f)
 
 
@@ -211,8 +204,8 @@ def enumerate_equivalence_class(
     return EquivClass(canonical, members)
 
 
-def enumerate_canonical(spec: TorusSpec) -> list:
-    """All canonical labels, in lexicographic order.
+def _canonical_shapes(spec: TorusSpec) -> Iterator[tuple]:
+    """Every canonical label as a tuple (a, b, defect, e, f), unordered.
 
     They are generated from their shape (see the module docstring), so the
     cost grows with the number of classes, not with q^(m+n).  Defect zero:
@@ -222,12 +215,11 @@ def enumerate_canonical(spec: TorusSpec) -> list:
     position f of b.
     """
     m, n, p, q = spec.m, spec.n, spec.p, spec.q
-    found = []
     for b in combinations_with_replacement(range(q), n):
         bad = {-v % p for v in b}
         allowed = [v for v in range(q) if v % p not in bad]
         for a in combinations_with_replacement(allowed, m):
-            found.append((a, b, 0, None, None))
+            yield a, b, 0, None, None
     units = range(1, p)
     for e in range(1, m + 1):
         for tail_a in combinations_with_replacement(units, m - e):
@@ -237,12 +229,16 @@ def enumerate_canonical(spec: TorusSpec) -> list:
                 d = min(e, f)
                 for tail_b in combinations_with_replacement(allowed, n - f):
                     for bf in range(0, q, p):
-                        found.append((a, (0,) * (f - 1) + (bf,) + tail_b, d, e, f))
+                        yield a, (0,) * (f - 1) + (bf,) + tail_b, d, e, f
+
+
+def enumerate_canonical(spec: TorusSpec) -> list:
+    """All canonical labels, in lexicographic order."""
     # Labels are distinct, so the sort never compares past (a, b).
-    found.sort()
-    for i, (a, b, d, e, f) in enumerate(found):
-        found[i] = CanonicalLabel(ExponentVector(a, b), d, e, f)
-    return found
+    return [
+        CanonicalLabel(ExponentVector(a, b), d, e, f)
+        for a, b, d, e, f in sorted(_canonical_shapes(spec))
+    ]
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple]:
@@ -265,15 +261,17 @@ def count_c(m: int, n: int, q: int, p: int) -> int:
     """Number of defect-zero canonical labels: weakly increasing blocks with
     no pair sum divisible by p.
 
-    Grouping the b block by the l residue classes it occupies leaves
-    q - l*q/p admissible values for every a entry.  The sorted b blocks
-    that occupy every one of l given classes number, by inclusion-exclusion
-    over the classes left out, sum_i (-1)^(l-i) C(l, i) C(i*q/p + n - 1, n).
+    The condition is symmetric in the blocks, so call the smaller one b
+    (n <= m): the sum below has O(min(p, n)^2) terms.  Grouping the b block
+    by the l residue classes it occupies leaves q - l*q/p admissible values
+    for every a entry.  The sorted b blocks that occupy every one of l given
+    classes number, by inclusion-exclusion over the classes left out,
+    sum_i (-1)^(l-i) C(l, i) C(i*q/p + n - 1, n).
     """
+    if n > m:
+        m, n = n, m
     if n == 0:
         return comb(q + m - 1, m)
-    if m == 0:
-        return comb(q + n - 1, n)
     qp = q // p
     total = 0
     for l in range(1, min(p - 1, n) + 1):

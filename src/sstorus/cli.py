@@ -96,14 +96,13 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _emit_list(items) -> None:
-    """Print the same text as `_emit(list(items))`, one item at a time, so
-    the whole document is never held in memory."""
-    encode = json.JSONEncoder(indent=2).encode
+def _emit_list(docs) -> None:
+    """Print the same text as `_emit(list(docs))` for `element_to_dict`
+    documents, one at a time, so the whole output is never held in memory."""
     write = sys.stdout.write
     head = "[\n  "
-    for item in items:
-        write(head + encode(item).replace("\n", "\n  "))
+    for doc in docs:
+        write(head + torus.element_text(doc, "  "))
         head = ",\n  "
     write("[]\n" if head == "[\n  " else "\n]\n")
 
@@ -111,7 +110,7 @@ def _emit_list(items) -> None:
 def cmd_mul(args, config: dict, cap: int) -> int:
     f = _load_element(args.lhs, cap)
     g = _load_element(args.rhs, cap)
-    _emit(torus.element_to_dict(f * g))
+    print(torus.element_to_json(f * g))
     return EXIT_OK
 
 
@@ -147,7 +146,8 @@ def cmd_count(args, config: dict, cap: int) -> int:
     if n < 1:
         raise ValueError("counting requires n >= 1")
     try:
-        enumerated = len(canon.enumerate_canonical(TorusSpec(m, n, p, r, cap=cap)))
+        spec = TorusSpec(m, n, p, r, cap=cap)
+        enumerated = sum(1 for _ in canon._canonical_shapes(spec))
     except CapExceededError:
         # TorusSpec has checked m, r and p before it compared with the cap.
         enumerated = None
@@ -155,6 +155,11 @@ def cmd_count(args, config: dict, cap: int) -> int:
     if q is None:
         raise ValueError(f"q = {p}^{r} has too many digits to print")
     total = canon._count_canonical_total(m, n, q, p)
+    # The by-defect counts are the parts of the total, so they print too.
+    if total.bit_length() > torus.MAX_PRINT_BITS:
+        raise ValueError(
+            f"the count at (m, n, p, r) = ({m}, {n}, {p}, {r}) has too many digits to print"
+        )
     out = {"total": total, "enumerated": enumerated}
     if args.by_defect:
         by_defect = {"0": canon.count_c(m, n, q, p)}

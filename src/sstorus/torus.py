@@ -392,8 +392,35 @@ def element_from_dict(data: dict, cap: int = DEFAULT_CAP) -> TorusElement:
     return TorusElement(spec, basis, terms)
 
 
+def element_text(data: dict, pad: str = "") -> str:
+    """`json.dumps(data, indent=2)` for an `element_to_dict` document, with
+    every line after the first indented by `pad`.
+
+    A string template in `element_to_dict`'s key order: with an indent,
+    json encodes through pure-Python generators, several times slower.
+    """
+    i2 = "\n" + pad + "  "
+    i4, i6, i8 = i2 + "  ", i2 + "    ", i2 + "      "
+    sep8, close8 = "," + i8, i6 + "]"
+
+    def ints(v):
+        return "[" + i8 + sep8.join(map(str, v)) + close8 if v else "[]"
+
+    terms = ("," + i4).join(
+        [
+            f'{{{i6}"a": {ints(t["a"])},{i6}"b": {ints(t["b"])},{i6}"c": {t["c"]}{i4}}}'
+            for t in data["terms"]
+        ]
+    )
+    return (
+        f'{{{i2}"m": {data["m"]},{i2}"n": {data["n"]},{i2}"p": {data["p"]},'
+        f'{i2}"r": {data["r"]},{i2}"basis": {json.dumps(data["basis"])},'
+        f'{i2}"terms": {"[" + i4 + terms + i2 + "]" if terms else "[]"}\n{pad}}}'
+    )
+
+
 def element_to_json(f: TorusElement) -> str:
-    return json.dumps(element_to_dict(f), indent=2)
+    return element_text(element_to_dict(f))
 
 
 def element_from_json(text: str, cap: int = DEFAULT_CAP) -> TorusElement:

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from math import comb
 
@@ -81,6 +82,40 @@ class TestDefect:
             spec = TorusSpec(*t)
             for ev in spec.labels():
                 assert defect(ev, spec) == matching_defect(ev, spec), (t, ev)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 997])
+    def test_matches_matching_oracle_random(self, p):
+        # Entries come from a few residues and their negatives, so that most
+        # labels have compatible pairs, several per residue.
+        rng = random.Random(p)
+        for _ in range(150):
+            m, n = rng.randint(1, 4), rng.randint(0, 4)
+            spec = TorusSpec(m, n, p, rng.randint(1, 2), cap=10**100)
+            pool = [rng.randrange(p) for _ in range(2)]
+            pool += [-rho % p for rho in pool]
+
+            def block(k):
+                return tuple(rng.choice(pool) + p * rng.randrange(spec.q // p) for _ in range(k))
+
+            ev = ExponentVector(block(m), block(n))
+            assert defect(ev, spec) == matching_defect(ev, spec), (spec, ev)
+
+    def test_large_p_canonical_forms(self):
+        rng = random.Random(997)
+        for t in ((1, 1, 997, 1), (2, 3, 997, 1), (3, 3, 211, 2)):
+            spec = TorusSpec(*t, cap=10**30)
+            for _ in range(100):
+                pool = [rng.randrange(spec.q) for _ in range(2)]
+                pool += [-v % spec.q for v in pool]
+                ev = ExponentVector(
+                    tuple(rng.choice(pool) for _ in range(spec.m)),
+                    tuple(rng.choice(pool) for _ in range(spec.n)),
+                )
+                c = canonicalize(ev, spec)
+                assert c.defect == defect(ev, spec) == matching_defect(ev, spec)
+                assert is_canonical(c.ev, spec)
+                assert class_signature(c.ev, spec) == class_signature(ev, spec)
+                assert canonicalize(c.ev, spec) == c
 
     def test_special_iff_defect_zero(self):
         spec = TorusSpec(2, 2, 3, 1)
@@ -326,12 +361,9 @@ class TestCounts:
                 q = p**r
                 for m in range(6):
                     for n in range(9):
-                        assert count_c(m, n, q, p) == count_c_by_compositions(m, n, q, p), (
-                            m,
-                            n,
-                            p,
-                            r,
-                        )
+                        expected = count_c_by_compositions(m, n, q, p)
+                        assert count_c(m, n, q, p) == expected, (m, n, p, r)
+                        assert count_c(n, m, q, p) == expected, (n, m, p, r)
 
     def test_count_c_prime_examples(self):
         assert count_c_prime(0, 0, 5) == 1

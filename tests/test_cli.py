@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from sstorus import ss_basis
-from sstorus.canonical import count_c, enumerate_canonical
+from sstorus.canonical import _canonical_shapes, count_c, enumerate_canonical
 from sstorus.cli import DEFAULT_GRID, _emit_list, main
 from sstorus.idempotents import idempotent_h
 from sstorus.torus import (
@@ -23,6 +23,7 @@ from sstorus.torus import (
     multiply,
     one,
 )
+from util import element_documents
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -73,6 +74,20 @@ class TestMul:
         code, out, _ = run(capsys, "mul", pu, pv)
         assert code == 0
         assert json.loads(out)["terms"] == []
+
+    @pytest.mark.parametrize("basis", [Basis.BINOMIAL, Basis.IDEMPOTENT])
+    def test_output_is_json_dumps_of_product(self, capsys, tmp_path, basis):
+        spec = TorusSpec(2, 1, 3, 1)
+        ev = ExponentVector
+        f = TorusElement(spec, basis, {ev((1, 2), (0,)): 2, ev((0, 1), (2,)): 1, ev((2, 2), (1,)): 1})
+        g = TorusElement(spec, basis, {ev((1, 2), (0,)): 2, ev((0, 1), (2,)): 2, ev((0, 0), (0,)): 1})
+        product = f * g
+        assert len(product.terms) >= 2
+        code, out, _ = run(
+            capsys, "mul", write_element(tmp_path, "f.json", f), write_element(tmp_path, "g.json", g)
+        )
+        assert code == 0
+        assert out == json.dumps(element_to_dict(product), indent=2) + "\n"
 
     def test_spec_mismatch_exits_2(self, capsys, tmp_path, spec11):
         lhs = write_element(tmp_path, "a.json", one(spec11))
@@ -205,7 +220,8 @@ class TestBasis:
         assert out == json.dumps([element_to_dict(e) for e in elements], indent=2) + "\n"
 
     def test_emit_list_matches_json_dumps(self, capsys):
-        for items in ([], [{}], [1, "a\nb"], [{"a": [], "b": [[1, 2], {"c": None}]}, []]):
+        docs = element_documents()
+        for items in ([], docs[:1], docs[1:2], docs):
             _emit_list(iter(items))
             assert capsys.readouterr().out == json.dumps(items, indent=2) + "\n"
 
@@ -314,6 +330,16 @@ class TestCount:
         data = json.loads(out)
         assert data["enumerated"] is None
         assert data["total"] > 0
+
+    @pytest.mark.parametrize("t", DEFAULT_GRID + [(2, 2, 5, 2), (2, 0, 3, 1), (1, 1, 3, 2)])
+    def test_enumerated_counts_the_canonical_labels(self, capsys, t):
+        spec = TorusSpec(*t)
+        labels = len(enumerate_canonical(spec))
+        assert sum(1 for _ in _canonical_shapes(spec)) == labels
+        if spec.n >= 1:  # count refuses n = 0
+            code, out, _ = run(capsys, "count", *spec_flags(*t))
+            assert code == 0
+            assert json.loads(out)["enumerated"] == labels
 
     def test_large_n_does_not_hang(self):
         # n = 30 has 2^29 compositions, so the count must not enumerate them.
@@ -436,8 +462,14 @@ def spec_flags(m, n, p, r):
 
 M61 = 2**61 - 1  # a prime
 # argv (HUGE_M names an element file with m = 10^12 at p = 3), exit code and
-# a piece of the expected message.  The numbers are large enough that any
-# power, trial division or decimal conversion of them would hang or fail.
+# a piece of the expected message or, for exit 0, the expected total.  The
+# numbers are large enough that any power, trial division or decimal
+# conversion of them would hang or fail.
+#
+# At m = 1, q = p = n + 1 there are p C(2n - 1, n) labels of defect zero (a
+# value for a_1, then a sorted b over the other n residues) and
+# sum_f C(2n - 1 - f, n - 1) = C(2n - 1, n) of defect one (the unit tail of b
+# is free): (p + 1) C(2n - 1, n) in all, and the count is symmetric in m, n.
 INPUT_GATE = {
     "basis-m14000": (["basis", *spec_flags(14000, 1, 2, 1)], 3, "2^14001 exceeds"),
     "basis-m15000": (["basis", *spec_flags(15000, 1, 2, 1)], 3, "2^15001 exceeds"),
@@ -445,7 +477,11 @@ INPUT_GATE = {
     "mul-huge-m": (["mul", "HUGE_M", "HUGE_M"], 3, "3^1000000000001 exceeds"),
     "count-huge-r": (["count", *spec_flags(1, 1, 2, 3_000_000_000)], 2, "too many digits"),
     "count-large-r": (["count", *spec_flags(1, 1, 2, 30_000_000)], 2, "too many digits"),
-    "count-mersenne-prime": (["count", *spec_flags(1, 1, M61, 1)], 0, ""),
+    "count-mersenne-prime": (["count", *spec_flags(1, 1, M61, 1)], 0, M61 * (M61 - 1) + 1),
+    "count-m1-n400": (["count", *spec_flags(1, 400, 401, 1)], 0, 402 * comb(799, 400)),
+    "count-m400-n1": (["count", *spec_flags(400, 1, 401, 1)], 0, 402 * comb(799, 400)),
+    "count-m1-n1998": (["count", *spec_flags(1, 1998, 1999, 1)], 0, 2000 * comb(3995, 1998)),
+    "count-total-too-long": (["count", *spec_flags(1, 1, 2, 13000)], 2, "(1, 1, 2, 13000)"),
     "basis-mersenne-prime": (["basis", *spec_flags(1, 1, M61, 1)], 3, "label cap"),
     "basis-composite-over-cap": (["basis", *spec_flags(1, 1, 2**61 + 1, 1)], 2, "not prime"),
     "basis-p-beyond-primality-limit": (["basis", *spec_flags(1, 1, 2**89 - 1, 1)], 2, "too large"),
@@ -457,8 +493,8 @@ def limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-@pytest.mark.parametrize("argv, code, message", INPUT_GATE.values(), ids=INPUT_GATE.keys())
-def test_input_gate_is_fast_and_exact(tmp_path, argv, code, message):
+@pytest.mark.parametrize("argv, code, expected", INPUT_GATE.values(), ids=INPUT_GATE.keys())
+def test_input_gate_is_fast_and_exact(tmp_path, argv, code, expected):
     """Each input is decided in seconds, in a child limited to 2 GB."""
     huge = tmp_path / "huge.json"
     huge.write_text(element_json(m=10**12, terms=[]))
@@ -472,11 +508,13 @@ def test_input_gate_is_fast_and_exact(tmp_path, argv, code, message):
     )
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert message in proc.stderr
+    assert "Exceeds the limit" not in proc.stderr
+    assert "int_max_str_digits" not in proc.stderr
     if code:
+        assert expected in proc.stderr
         assert proc.stdout == ""
     else:
-        assert json.loads(proc.stdout) == {"total": M61 * (M61 - 1) + 1, "enumerated": None}
+        assert json.loads(proc.stdout) == {"total": expected, "enumerated": None}
 
 
 class TestDeterminism:

@@ -14,6 +14,7 @@ from sstorus.torus import (
     add,
     element_from_dict,
     element_from_json,
+    element_text,
     element_to_dict,
     element_to_json,
     multiply,
@@ -26,7 +27,13 @@ from sstorus.torus import (
 )
 from sstorus.idempotents import from_idempotent_basis, to_idempotent_basis
 from sstorus.supersymmetry import phi
-from util import integer_monomial_product, naive_multiply_terms, random_element, random_label
+from util import (
+    element_documents,
+    integer_monomial_product,
+    naive_multiply_terms,
+    random_element,
+    random_label,
+)
 
 
 def monomial(spec, a, b, c=1):
@@ -366,6 +373,17 @@ class TestJson:
                 for _ in range(10):
                     f = random_element(spec, rng, basis=basis)
                     assert element_from_json(element_to_json(f)) == f
+
+    @pytest.mark.parametrize("pad", ["", "  ", "\t"])
+    def test_element_text_matches_json_dumps(self, pad):
+        rng = random.Random(9)
+        docs = element_documents() + [
+            element_to_dict(random_element(spec, rng, max_terms=5, basis=basis))
+            for spec in (TorusSpec(2, 2, 3, 1), TorusSpec(1, 1, 7, 2))
+            for basis in (Basis.BINOMIAL, Basis.IDEMPOTENT)
+        ]
+        for doc in docs:
+            assert element_text(doc, pad) == json.dumps(doc, indent=2).replace("\n", "\n" + pad)
 
     def test_terms_sorted_and_coefficients_in_range(self):
         spec = TorusSpec(2, 1, 3, 1)

@@ -4,7 +4,7 @@ independent brute-force oracles the library is checked against."""
 import itertools
 from math import comb
 
-from sstorus.torus import Basis, ExponentVector, TorusElement
+from sstorus.torus import Basis, ExponentVector, TorusElement, TorusSpec, element_to_dict
 
 
 def random_label(spec, rng):
@@ -13,6 +13,24 @@ def random_label(spec, rng):
         tuple(rng.randrange(q) for _ in range(spec.m)),
         tuple(rng.randrange(q) for _ in range(spec.n)),
     )
+
+
+def element_documents():
+    """`element_to_dict` documents for the JSON writer: a zero element, an
+    element with n = 0 (`"b": []`), both bases, and exponents and
+    coefficients of several digits."""
+    ev = ExponentVector
+    elements = [
+        TorusElement(TorusSpec(1, 1, 2, 1), Basis.BINOMIAL, {}),
+        TorusElement(TorusSpec(2, 0, 3, 1), Basis.BINOMIAL, {ev((1, 2), ()): 2, ev((0, 0), ()): 1}),
+        TorusElement(
+            TorusSpec(1, 2, 101, 2, cap=10**30),
+            Basis.IDEMPOTENT,
+            {ev((10200,), (57, 3)): 97, ev((0,), (10000, 1)): 12},
+        ),
+        TorusElement(TorusSpec(3, 1, 13, 1), Basis.BINOMIAL, {ev((12, 0, 7), (11,)): 10}),
+    ]
+    return [element_to_dict(f) for f in elements]
 
 
 def random_element(spec, rng, max_terms=3, basis=Basis.BINOMIAL):
