@@ -13,6 +13,7 @@ its evaluation at that integer point (C(x, k) evaluated at v is C(v, k)).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
 from math import comb
 
@@ -55,8 +56,11 @@ def idempotent_univariate(spec: TorusSpec, block: str, index: int, a: int) -> To
     return TorusElement(spec, Basis.BINOMIAL, terms)
 
 
-# Room for every label of the largest dense oracle (512 labels, see
-# ss_basis.DENSE_ORACLE_LIMIT); the benchmark workloads use at most 204.
+# The change of basis does not use this.  The one caller outside the tests,
+# ss_basis.ss_nullspace_oracle, asks for each label once per shift pair, so
+# the cache hits only on all_pairs runs and repeated test calls.  It stays
+# (bounded to the largest dense oracle, 512 labels) because
+# perfbench/tracer.py reads its cache_info.
 @lru_cache(maxsize=1024)
 def idempotent_h(spec: TorusSpec, ev: ExponentVector) -> TorusElement:
     """The primitive idempotent h_(a|b), expanded in the binomial basis.
@@ -94,43 +98,75 @@ def evaluate_point(f: TorusElement, point: ExponentVector) -> int:
     return total
 
 
+@lru_cache(maxsize=4)
+def _digit_tables(p: int):
+    """(B, B_inv) with B[v][k] = C(v, k) and B_inv[k][a] = (-1)^(k-a) C(k, a)
+    mod p for digits in [0, p), mutually inverse, built by Pascal's rule."""
+    B = [[1] + [0] * (p - 1)]
+    for _ in range(1, p):
+        B.append([1] + [(x + y) % p for x, y in zip(B[-1], B[-1][1:])])
+    B_inv = [[(-c if (k - a) & 1 else c) % p for a, c in enumerate(row)] for k, row in enumerate(B)]
+    return tuple(map(tuple, B)), tuple(map(tuple, B_inv))
+
+
+@lru_cache(maxsize=1 << 12)
+def _digits(x: int, q: int, k: int) -> tuple:
+    """The k base-q digits of x, most significant first.  Cached, so the
+    labels of one element share their block tuples."""
+    return _digits(x // q, q, k - 1) + (x % q,) if k else ()
+
+
+def _change_basis(f: TorusElement, table: tuple, basis: Basis) -> TorusElement:
+    """Multiply the coefficients of f by the Kronecker power of the p x p
+    `table` over all (m+n) r base-p digits of the labels (Yates's algorithm).
+
+    A label (v_1..v_(m+n)) is read as the int sum_s v_s q^(m+n-1-s), whose
+    base-p digits are those of its entries because q = p^r.  By Lucas's
+    theorem C(v, k) mod p is the product of its digit binomials, so the
+    mod-p Pascal matrix on [0, q)^(m+n), and its inverse, factor into one
+    pass per digit, each costing at most p per nonzero coefficient.
+    """
+    spec = f.spec
+    p, q, m, n = spec.p, spec.q, spec.m, spec.n
+    cur = {}
+    for ev, c in f.terms.items():
+        idx = 0
+        for v in ev.a + ev.b:
+            idx = idx * q + v
+        cur[idx] = c
+    for t in range((m + n) * spec.r):
+        s, cols = p**t, {}
+        acc: dict = defaultdict(int)
+        for idx, c in cur.items():
+            d = idx // s % p
+            if d not in cols:  # column d as (index offset, entry) over nonzero rows
+                cols[d] = [((e - d) * s, row[d]) for e, row in enumerate(table) if row[d]]
+            for off, x in cols[d]:
+                acc[idx + off] += c * x
+        cur = {idx: r for idx, c in acc.items() if (r := c % p)}
+    terms = []  # in label order, as spec.labels() yields them
+    for idx, c in sorted(cur.items()):
+        hi, lo = divmod(idx, q**n)
+        terms.append((ExponentVector(_digits(hi, q, m), _digits(lo, q, n)), c))
+    return TorusElement(spec, basis, terms)
+
+
 def to_idempotent_basis(f: TorusElement) -> TorusElement:
     """Re-express a binomial-basis element in idempotent coordinates.
 
     The coordinate at a label equals the evaluation of f at that integer
     point, because h_(a|b) evaluates to 1 at (a|b) and to 0 at every other
-    label.
+    label: the map is the Pascal matrix C(v, k) mod p.
     """
     _require_basis(f, Basis.BINOMIAL)
-    spec = f.spec
-    p = spec.p
-    B = _binomial_table(p, spec.q)
-    flat_terms = [(ev.a + ev.b, c) for ev, c in f.terms.items()]
-    out = {}
-    for label in spec.labels():
-        flat = label.a + label.b
-        total = 0
-        for key, c in flat_terms:
-            prod = c
-            for v, k in zip(flat, key):
-                prod = prod * B[v][k] % p
-                if not prod:
-                    break
-            total = (total + prod) % p
-        if total:
-            out[label] = total
-    return TorusElement(spec, Basis.IDEMPOTENT, out)
+    return _change_basis(f, _digit_tables(f.spec.p)[0], Basis.IDEMPOTENT)
 
 
 def from_idempotent_basis(f: TorusElement) -> TorusElement:
-    """Substitute each idempotent label by its binomial expansion and sum."""
+    """Sum the binomial expansions of the idempotents: the inverse Pascal
+    matrix (-1)^(k-a) C(k, a) mod p, the coefficients of X_a."""
     _require_basis(f, Basis.IDEMPOTENT)
-    spec = f.spec
-    acc: dict = {}
-    for label, c in f.terms.items():
-        for ev, ch in idempotent_h(spec, label).terms.items():
-            acc[ev] = acc.get(ev, 0) + c * ch
-    return TorusElement(spec, Basis.BINOMIAL, acc)
+    return _change_basis(f, _digit_tables(f.spec.p)[1], Basis.BINOMIAL)
 
 
 def multiply_idempotent_basis(f: TorusElement, g: TorusElement) -> TorusElement:

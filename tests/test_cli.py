@@ -493,19 +493,24 @@ def limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-@pytest.mark.parametrize("argv, code, expected", INPUT_GATE.values(), ids=INPUT_GATE.keys())
-def test_input_gate_is_fast_and_exact(tmp_path, argv, code, expected):
-    """Each input is decided in seconds, in a child limited to 2 GB."""
-    huge = tmp_path / "huge.json"
-    huge.write_text(element_json(m=10**12, terms=[]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "sstorus.cli", *(str(huge) if a == "HUGE_M" else a for a in argv)],
+def run_gated(argv):
+    """Run the CLI in a child limited to 2 GB that must finish in 5 s."""
+    return subprocess.run(
+        [sys.executable, "-m", "sstorus.cli", *argv],
         capture_output=True,
         text=True,
         timeout=5,
         env={**os.environ, "PYTHONPATH": str(SRC)},
         preexec_fn=limit_address_space,
     )
+
+
+@pytest.mark.parametrize("argv, code, expected", INPUT_GATE.values(), ids=INPUT_GATE.keys())
+def test_input_gate_is_fast_and_exact(tmp_path, argv, code, expected):
+    """Each input is decided in seconds, in a child limited to 2 GB."""
+    huge = tmp_path / "huge.json"
+    huge.write_text(element_json(m=10**12, terms=[]))
+    proc = run_gated([str(huge) if a == "HUGE_M" else a for a in argv])
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "Exceeds the limit" not in proc.stderr
@@ -515,6 +520,18 @@ def test_input_gate_is_fast_and_exact(tmp_path, argv, code, expected):
         assert proc.stdout == ""
     else:
         assert json.loads(proc.stdout) == {"total": expected, "enumerated": None}
+
+
+def test_check_ss_large_q_is_fast(tmp_path):
+    """`--check-ss` at q = 1024 (N = 1,048,576 labels, inside the cap) is
+    decided in seconds, in a child limited to 2 GB: the change of basis
+    never forms a q x q binomial table."""
+    path = tmp_path / "monomial.json"
+    path.write_text(element_json(p=2, r=10, terms=[{"a": [3], "b": [5], "c": 1}]))
+    proc = run_gated(["verify", "--check-ss", str(path)])
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout) == {"supersymmetric": False}
 
 
 class TestDeterminism:

@@ -3,7 +3,9 @@ from functools import reduce
 
 import pytest
 
+from sstorus.cli import DEFAULT_GRID
 from sstorus.idempotents import (
+    _digit_tables,
     evaluate_point,
     from_idempotent_basis,
     idempotent_h,
@@ -25,7 +27,8 @@ from sstorus.torus import (
     scale,
     zero,
 )
-from util import random_element
+from sstorus.modp import binom_mod_p
+from util import from_idempotent_by_h, random_element
 
 
 def monomial(spec, a, b, c=1):
@@ -197,6 +200,55 @@ class TestBasisChange:
             coords = to_idempotent_basis(f)
             for ev in spec.labels():
                 assert evaluate_point(f, ev) == coords.coefficient(ev)
+
+
+ORACLE_SPECS = DEFAULT_GRID + [(1, 1, 2, 3), (1, 1, 3, 2), (2, 0, 3, 1), (2, 1, 5, 1), (1, 1, 11, 1)]
+
+
+def oracle_inputs(spec, basis, seed):
+    """Ten random sparse elements and one dense one with N/8 terms."""
+    rng = random.Random(seed)
+    out = [random_element(spec, rng, max_terms=5, basis=basis) for _ in range(10)]
+    support = rng.sample(list(spec.labels()), max(1, spec.dimension // 8))
+    out.append(TorusElement(spec, basis, {ev: rng.randrange(1, spec.p) for ev in support}))
+    return out
+
+
+@pytest.mark.parametrize("t", ORACLE_SPECS)
+class TestAgainstOracles:
+    """The digit-pass transform against per-point evaluation and the sum of
+    `idempotent_h` expansions."""
+
+    def test_to_matches_evaluate_point(self, t):
+        spec = TorusSpec(*t)
+        for f in oracle_inputs(spec, Basis.BINOMIAL, 21):
+            coords = to_idempotent_basis(f)
+            assert coords.basis is Basis.IDEMPOTENT
+            for ev in spec.labels():
+                assert coords.coefficient(ev) == evaluate_point(f, ev), (t, ev)
+
+    def test_from_matches_sum_of_idempotents(self, t):
+        spec = TorusSpec(*t)
+        for g in oracle_inputs(spec, Basis.IDEMPOTENT, 22):
+            assert from_idempotent_basis(g) == from_idempotent_by_h(g)
+
+    def test_round_trips(self, t):
+        spec = TorusSpec(*t)
+        for f in oracle_inputs(spec, Basis.BINOMIAL, 23):
+            assert from_idempotent_basis(to_idempotent_basis(f)) == f
+        for g in oracle_inputs(spec, Basis.IDEMPOTENT, 24):
+            assert to_idempotent_basis(from_idempotent_basis(g)) == g
+
+
+class TestDigitTables:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_lucas_digit_binomials_and_inverse(self, p):
+        B, B_inv = _digit_tables(p)
+        assert B == tuple(tuple(binom_mod_p(v, k, p) for k in range(p)) for v in range(p))
+        for k in range(p):
+            for a in range(p):
+                product = sum(B_inv[k][j] * B[j][a] for j in range(p)) % p
+                assert product == (k == a), (p, k, a)
 
 
 class TestIdempotentBasisProduct:

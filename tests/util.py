@@ -4,6 +4,7 @@ independent brute-force oracles the library is checked against."""
 import itertools
 from math import comb
 
+from sstorus.idempotents import idempotent_h
 from sstorus.torus import Basis, ExponentVector, TorusElement, TorusSpec, element_to_dict
 
 
@@ -73,6 +74,16 @@ def naive_multiply_terms(f, g):
     return {
         ExponentVector(key[:m], key[m:]): c for key, c in acc.items() if c
     }
+
+
+def from_idempotent_by_h(f):
+    """Reference for `from_idempotent_basis`: substitute each idempotent
+    label by its binomial expansion `idempotent_h` and sum."""
+    acc = {}
+    for label, c in f.terms.items():
+        for ev, ch in idempotent_h(f.spec, label).terms.items():
+            acc[ev] = acc.get(ev, 0) + c * ch
+    return TorusElement(f.spec, Basis.BINOMIAL, acc)
 
 
 def matching_defect(ev, spec):
