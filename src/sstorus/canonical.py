@@ -56,9 +56,9 @@ def is_ordinary(ev: ExponentVector, spec: TorusSpec) -> bool:
     return not is_special(ev, spec)
 
 
-def _unmatched_residues(ev: ExponentVector, p: int):
-    """Residues of the entries left out of a maximum matching, one sorted
-    tuple per block.
+def _unmatched_residues(a: tuple, b: tuple, p: int):
+    """Residues of the entries of the label (a | b) left out of a maximum
+    matching, one sorted tuple per block.
 
     Compatible pairs are those of opposite residues, so the compatibility
     graph is a disjoint union of complete bipartite pieces, one per residue,
@@ -66,11 +66,11 @@ def _unmatched_residues(ev: ExponentVector, p: int):
     maximum.  The work is O(m + n), whatever p is.
     """
     free = {}
-    for v in ev.b:
+    for v in b:
         v %= p
         free[v] = free.get(v, 0) + 1
     ra = []
-    for v in ev.a:
+    for v in a:
         v %= p
         partner = -v % p
         k = free.get(partner)
@@ -82,10 +82,30 @@ def _unmatched_residues(ev: ExponentVector, p: int):
     return tuple(sorted(ra)), tuple(sorted(rb))
 
 
+def _canonical_form(a: tuple, b: tuple, p: int, q: int) -> tuple:
+    """The canonical label of the class of (a | b), unchecked, as the tuple
+    (a, b, defect, e, f) that `_canonical_shapes` yields.
+
+    Defect zero just sorts both blocks.  For positive defect the matched
+    entries collapse into the canonical shape, the unmatched entries are
+    replaced by their residues, and the slot at position f absorbs whatever
+    multiple of p keeps the total constant mod q.
+    """
+    ra, rb = _unmatched_residues(a, b, p)
+    d = len(a) - len(ra)
+    if d == 0:
+        return tuple(sorted(a)), tuple(sorted(b)), 0, None, None
+    # Zero residues sort first: they join the matched zeros of the shape.
+    e = d + ra.count(0)
+    f = d + rb.count(0)
+    bf = (sum(a) + sum(b) - sum(ra) - sum(rb)) % q
+    return (0,) * e + ra[e - d :], (0,) * (f - 1) + (bf,) + rb[f - d :], d, e, f
+
+
 def defect(ev: ExponentVector, spec: TorusSpec) -> int:
     """Maximum number of disjoint pairs (i, j) with a_i + b_j = 0 mod p."""
     spec.check_label(ev)
-    return len(ev.a) - len(_unmatched_residues(ev, spec.p)[0])
+    return len(ev.a) - len(_unmatched_residues(ev.a, ev.b, spec.p)[0])
 
 
 def class_signature(ev: ExponentVector, spec: TorusSpec):
@@ -97,7 +117,7 @@ def class_signature(ev: ExponentVector, spec: TorusSpec):
     d = defect(ev, spec)
     if d == 0:
         return (0, tuple(sorted(ev.a)), tuple(sorted(ev.b)))
-    return (d, *_unmatched_residues(ev, spec.p), ev.total() % spec.q)
+    return (d, *_unmatched_residues(ev.a, ev.b, spec.p), ev.total() % spec.q)
 
 
 def is_canonical(ev: ExponentVector, spec: TorusSpec) -> bool:
@@ -147,27 +167,10 @@ def is_canonical(ev: ExponentVector, spec: TorusSpec) -> bool:
 
 
 def canonicalize(ev: ExponentVector, spec: TorusSpec) -> CanonicalLabel:
-    """The canonical label equivalent to ev.
-
-    Defect zero just sorts both blocks.  For positive defect the matched
-    entries collapse into the canonical shape, the unmatched entries are
-    replaced by their residues, and the slot at position f absorbs whatever
-    multiple of p keeps the total constant mod q.
-    """
-    p, q = spec.p, spec.q
-    d = defect(ev, spec)
-    if d == 0:
-        return CanonicalLabel(
-            ExponentVector(tuple(sorted(ev.a)), tuple(sorted(ev.b))), 0
-        )
-    ra, rb = _unmatched_residues(ev, p)
-    # Zero residues sort first: they join the matched zeros of the shape.
-    e = d + ra.count(0)
-    f = d + rb.count(0)
-    bf = (ev.total() - sum(ra) - sum(rb)) % q
-    new_a = (0,) * e + ra[e - d :]
-    new_b = (0,) * (f - 1) + (bf,) + rb[f - d :]
-    return CanonicalLabel(ExponentVector(new_a, new_b), d, e, f)
+    """The canonical label equivalent to ev (see `_canonical_form`)."""
+    spec.check_label(ev)
+    a, b, d, e, f = _canonical_form(ev.a, ev.b, spec.p, spec.q)
+    return CanonicalLabel(ExponentVector(a, b), d, e, f)
 
 
 def _neighbors(t: tuple, m: int, p: int, q: int) -> Iterator[tuple]:

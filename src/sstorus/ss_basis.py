@@ -15,21 +15,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from . import fp_linalg
 from .canonical import (
     CanonicalLabel,
+    _canonical_form,
+    _canonical_shapes,
     count_canonical_total,
     count_c,
     count_c_prime,
-    enumerate_canonical,
     enumerate_equivalence_class,
     is_ordinary,
     is_special,
 )
 from .idempotents import evaluate_point, idempotent_h
-from .supersymmetry import is_supersymmetric, phi, symmetrize
+from .supersymmetry import phi, symmetrize
 from .torus import Basis, CapExceededError, ExponentVector, TorusElement, TorusSpec
 
 # Above this many labels `ss_nullspace_oracle` refuses to build its dense
@@ -62,13 +63,6 @@ def build_Ha(spec: TorusSpec, a: int) -> TorusElement:
         if ev.total() % q == a and is_ordinary(ev, spec)
     }
     return TorusElement(spec, Basis.IDEMPOTENT, terms)
-
-
-def _coeff_vector(elem: TorusElement, index: dict) -> list:
-    vec = [0] * len(index)
-    for ev, c in elem.terms.items():
-        vec[index[ev]] = c
-    return vec
 
 
 def ss_nullspace_oracle(
@@ -130,15 +124,6 @@ def ss_nullspace_oracle(
         terms = {labels[t]: v for t, v in enumerate(vec) if v}
         out.append(TorusElement(spec, Basis.IDEMPOTENT, terms))
     return out
-
-
-def _flat_index(ev: ExponentVector, q: int) -> int:
-    """Position of a label in lexicographic order: mixed radix q over the
-    m + n slots."""
-    t = 0
-    for d in ev.a + ev.b:
-        t = t * q + d
-    return t
 
 
 def _label_components(spec: TorusSpec) -> List[List[int]]:
@@ -208,24 +193,26 @@ def ss_component_oracle(spec: TorusSpec) -> List[TorusElement]:
     return _indicators(spec, _label_components(spec))
 
 
+def _gl11_supports(p: int, q: int) -> Iterator[list]:
+    """Supports of `gl11_generators`, as increasing flat indices a*q + b."""
+    for a in range(q):
+        for b in range(q):
+            if (a + b) % p:
+                yield [a * q + b]
+    for l in range(q // p):
+        yield [i * q + (p * l - i) % q for i in range(q)]
+
+
 def gl11_generators(spec: TorusSpec) -> List[TorusElement]:
     """For m = n = 1: the idempotents h_(a|b) with a + b prime to p, then the
     cyclic sums sum_i h_(i | pl - i mod q) for l = 0 .. q/p - 1."""
     if spec.m != 1 or spec.n != 1:
         raise ValueError("these generators are defined for m = n = 1 only")
-    p, q = spec.p, spec.q
-    out = []
-    for a in range(q):
-        for b in range(q):
-            if (a + b) % p:
-                ev = ExponentVector((a,), (b,))
-                out.append(TorusElement(spec, Basis.IDEMPOTENT, {ev: 1}))
-    for l in range(q // p):
-        terms = {
-            ExponentVector((i,), ((p * l - i) % q,)): 1 for i in range(q)
-        }
-        out.append(TorusElement(spec, Basis.IDEMPOTENT, terms))
-    return out
+    q = spec.q
+    return [
+        TorusElement(spec, Basis.IDEMPOTENT, {ExponentVector((t // q,), (t % q,)): 1 for t in s})
+        for s in _gl11_supports(spec.p, q)
+    ]
 
 
 def dim_closed_form(spec: TorusSpec) -> int:
@@ -299,95 +286,103 @@ class CountReport:
         }
 
 
+def _label_classes(spec: TorusSpec, shapes: list) -> list:
+    """The class of every label, in label order: the position in `shapes`
+    of its canonical form, or None if the form is not among them."""
+    m, n, p, q = spec.m, spec.n, spec.p, spec.q
+    index = {shape: i for i, shape in enumerate(shapes)}
+    rng = range(q)
+    return [
+        index.get(_canonical_form(a, b, p, q))
+        for a in itertools.product(rng, repeat=m)
+        for b in itertools.product(rng, repeat=n)
+    ]
+
+
 def verify_basis(spec: TorusSpec) -> CountReport:
-    """Build every class sum H and verify the basis claims.
+    """Check the basis claims for the class sums H of the canonical labels.
 
     Checks, all reported rather than raised: each H is supersymmetric; the
     H family is linearly independent; its span, cardinality and the oracle's
     agree with the closed-form count; the classes partition the label set;
     and for m = n = 1 the listed generators span the same space.
 
-    The component oracle always runs, and the checks against it are O(N):
-    class sums with disjoint non-empty supports are independent, and they
-    span the oracle's space exactly when the classes are its components.
-    Up to `DENSE_ORACLE_MAX_N` labels the dense oracle and the rank and span
+    One pass gives every label the class of its canonical form; classes are
+    lists of flat label indices, never elements.  Against the component
+    oracle, which always runs, the checks are O(N): an H is supersymmetric
+    exactly when it is constant on every component, and the H span the
+    oracle's space exactly when the classes are the components.  Up to
+    `DENSE_ORACLE_MAX_N` labels the dense oracle and the rank and span
     computations run as well, and the two oracles must agree.
     """
     failures = []
-    p, q = spec.p, spec.q
+    p, q, size = spec.p, spec.q, spec.dimension
 
-    canonicals = enumerate_canonical(spec)
-    h_elements = [build_H(c, spec) for c in canonicals]
-    supports = [[_flat_index(ev, q) for ev in h.terms] for h in h_elements]
+    shapes = sorted(_canonical_shapes(spec))
+    label_class = _label_classes(spec, shapes)
+    classes = [[] for _ in shapes]
+    for t, c in enumerate(label_class):
+        if c is not None:
+            classes[c].append(t)
 
-    counts = [0] * spec.dimension
-    for support in supports:
-        for t in support:
-            counts[t] += 1
-    partition_ok = all(c == 1 for c in counts)
+    # Each canonical label is its own form, so it lies in its own class.
+    partition_ok = None not in label_class and all(
+        _canonical_form(*shape[:2], p, q) == shape for shape in shapes
+    )
     if not partition_ok:
         failures.append("classes do not partition the label set")
 
-    all_supersymmetric = True
-    for c, h in zip(canonicals, h_elements):
-        if not is_supersymmetric(h):
-            all_supersymmetric = False
-            failures.append(f"class sum at {c.ev} is not supersymmetric")
-
     components = _label_components(spec)
-    independent = all(supports) and max(counts, default=0) <= 1
-    span_ok = sorted(supports) == components
+    mixed = set()
+    for comp in components:
+        ids = {label_class[t] for t in comp}
+        if len(ids) > 1:
+            mixed |= ids
+    mixed.discard(None)
+    for c in sorted(mixed):
+        ev = ExponentVector(*shapes[c][:2])
+        failures.append(f"class sum at {ev} is not supersymmetric")
+
+    independent = all(classes)
+    span_ok = sorted(classes) == components
 
     oracles = ("component",)
-    if spec.dimension <= DENSE_ORACLE_MAX_N:
+    if size <= DENSE_ORACLE_MAX_N:
         oracles += ("dense",)
         labels = list(spec.labels())
-        index = {ev: t for t, ev in enumerate(labels)}
         dense = ss_nullspace_oracle(spec)
         if dense != _indicators(spec, components):
             failures.append("the dense and component oracles disagree")
-        h_vecs = [_coeff_vector(h, index) for h in h_elements]
-        dense_vecs = [_coeff_vector(o, index) for o in dense]
+        h_vecs = [[int(c == i) for c in label_class] for i in range(len(shapes))]
+        dense_vecs = [[o.coefficient(ev) for ev in labels] for o in dense]
         independent = independent and fp_linalg.rank(h_vecs, p) == len(h_vecs)
-        span_ok = (
-            span_ok
-            and len(dense) == len(h_elements)
-            and fp_linalg.same_row_space(h_vecs, dense_vecs, p)
-        )
+        span_ok = span_ok and len(dense) == len(classes)
+        span_ok = span_ok and fp_linalg.same_row_space(h_vecs, dense_vecs, p)
     if not independent:
         failures.append("class sums are linearly dependent")
     if not span_ok:
         failures.append("class-sum span differs from the oracle span")
 
     closed = dim_closed_form(spec)
-    enumerated = len(canonicals)
+    enumerated = len(shapes)
     if not closed == enumerated == count_canonical_total(spec):
-        failures.append(
-            f"count mismatch: closed form {closed}, enumerated {enumerated}"
-        )
+        failures.append(f"count mismatch: closed form {closed}, enumerated {enumerated}")
     if len(components) != closed:
-        failures.append(
-            f"oracle dimension {len(components)} differs from closed form {closed}"
-        )
+        failures.append(f"oracle dimension {len(components)} differs from closed form {closed}")
 
     gl11_ok = None
     if spec.m == 1 and spec.n == 1:
-        gens = gl11_generators(spec)
-        gen_supports = sorted(
-            [_flat_index(ev, q) for ev in sorted(g.terms)] for g in gens
-        )
-        zero_one = all(c == 1 for g in gens for c in g.terms.values())
-        disjoint = sum(map(len, gen_supports)) == len(
-            set(itertools.chain.from_iterable(gen_supports))
-        )
-        gl11_ok = zero_one and disjoint and gen_supports == components
+        # The supports are 0/1 by construction, and equal to the disjoint
+        # components only if they are disjoint too.
+        gen_supports = sorted(_gl11_supports(p, q))
+        gl11_ok = gen_supports == components
         if "dense" in oracles:
-            gen_vecs = [_coeff_vector(g, index) for g in gens]
+            gen_vecs = [[int(t in s) for t in range(size)] for s in gen_supports]
             gl11_ok = gl11_ok and fp_linalg.same_row_space(gen_vecs, dense_vecs, p)
         if not gl11_ok:
             failures.append("rank-(1|1) generators do not span the oracle space")
 
-    h_basis_ok = independent and span_ok and all_supersymmetric
+    h_basis_ok = independent and span_ok and not mixed
     return CountReport(
         spec=spec,
         closed_form=closed,

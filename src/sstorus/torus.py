@@ -103,6 +103,7 @@ class TorusSpec:
     p: int
     r: int
     cap: int = field(default=DEFAULT_CAP, compare=False, repr=False)
+    q: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.m < 1:
@@ -118,10 +119,8 @@ class TorusSpec:
         if (p.bit_length() - 1) * e >= cap.bit_length() or p**e > cap:
             size = printable_power(p, e) or f"{p}^{e}"
             raise CapExceededError(f"q^(m+n) = {size} exceeds the label cap {cap}")
-
-    @property
-    def q(self) -> int:
-        return self.p**self.r
+        # Past the cap check, so q <= cap.
+        object.__setattr__(self, "q", p**self.r)
 
     @property
     def dimension(self) -> int:

@@ -241,6 +241,21 @@ class TestVerify:
         assert len(reports) == len(DEFAULT_GRID)
         assert all(r["h_basis_ok"] and r["partition_ok"] for r in reports)
 
+    @pytest.mark.parametrize(
+        "golden, flags",
+        [
+            ("verify_grid.json", ("--grid",)),
+            ("verify_2_2_5_1.json", ("--m", "2", "--n", "2", "--p", "5", "--r", "1")),
+            ("verify_1_1_3_2.json", ("--m", "1", "--n", "1", "--p", "3", "--r", "2")),
+            ("verify_1_1_211_1.json", ("--m", "1", "--n", "1", "--p", "211", "--r", "1")),
+        ],
+    )
+    def test_output_matches_golden(self, capsys, golden, flags):
+        code, out, err = run(capsys, "verify", *flags)
+        assert code == 0
+        assert err == ""
+        assert out == (DATA / golden).read_text()
+
     def test_config_grid_override(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"grid": [[1, 1, 2, 1], [1, 1, 3, 1]]}))
@@ -311,6 +326,21 @@ class TestCount:
         assert data["total"] == 12
         assert data["enumerated"] == 12
         assert data["by_defect"] == {"0": 9, "1": 3}
+
+    def test_symmetric_in_m_and_n(self, capsys):
+        # --cap 1 leaves out the enumeration, which is not compared here
+        def counted(m, n, p, r):
+            flags = [f"--{k}={v}" for k, v in zip("mnpr", (m, n, p, r))]
+            code, out, err = run(capsys, "count", *flags, "--by-defect", "--cap", "1")
+            assert (code, err) == (0, "")
+            data = json.loads(out)
+            return data["total"], data["by_defect"]
+
+        for m in range(1, 6):
+            for n in range(1, m):
+                for p in (2, 3, 5, 7):
+                    for r in (1, 2):
+                        assert counted(m, n, p, r) == counted(n, m, p, r), (m, n, p, r)
 
     def test_gl11_r2(self, capsys):
         code, out, _ = run(capsys, "count", "--m", "1", "--n", "1", "--p", "2", "--r", "2")

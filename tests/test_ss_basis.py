@@ -2,9 +2,10 @@ from math import comb
 
 import pytest
 
-from sstorus import fp_linalg, ss_basis
+from sstorus import canonical, fp_linalg, ss_basis, supersymmetry
 from sstorus.canonical import (
-    EquivClass,
+    _canonical_form,
+    _canonical_shapes,
     canonicalize,
     count_canonical_total,
     enumerate_canonical,
@@ -349,37 +350,103 @@ class TestClassSizes:
                     assert size == expected, (p, c)
 
 
+LABELLING_SPECS = DEFAULT_GRID + [(1, 1, 3, 2), (2, 2, 5, 1), (1, 1, 11, 1)]
+
+
+class TestLabelClasses:
+    @pytest.mark.parametrize("t", LABELLING_SPECS)
+    def test_classes_equal_bfs_classes(self, t):
+        spec = TorusSpec(*t)
+        index = {ev: i for i, ev in enumerate(spec.labels())}
+        shapes = sorted(_canonical_shapes(spec))
+        label_class = ss_basis._label_classes(spec, shapes)
+        classes = [[] for _ in shapes]
+        for i, c in enumerate(label_class):
+            classes[c].append(i)
+        bfs = [
+            sorted(index[ev] for ev in enumerate_equivalence_class(c, spec).members)
+            for c in enumerate_canonical(spec)
+        ]
+        assert classes == bfs
+
+    @pytest.mark.parametrize("t", LABELLING_SPECS)
+    def test_closed_form_equals_canonicalize(self, t):
+        spec = TorusSpec(*t)
+        for ev in spec.labels():
+            c = canonicalize(ev, spec)
+            assert _canonical_form(ev.a, ev.b, spec.p, spec.q) == (
+                c.ev.a, c.ev.b, c.defect, c.e, c.f
+            ), ev
+
+    # (1,1,3,1) runs the dense oracle, which builds elements; above the
+    # threshold verify builds none at all, gl(1|1) generators included.
+    @pytest.mark.parametrize("t", [(2, 1, 5, 1), (1, 1, 3, 1), (1, 1, 11, 1)])
+    def test_verify_builds_no_class_objects(self, monkeypatch, t):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_basis built a per-class object")
+
+        spec = TorusSpec(*t)
+        patched = [
+            (canonical, "enumerate_equivalence_class"),
+            (ss_basis, "enumerate_equivalence_class"),
+            (ss_basis, "build_H"),
+            (supersymmetry, "is_supersymmetric"),
+        ]
+        if spec.dimension > DENSE_ORACLE_MAX_N:
+            patched.append((ss_basis, "TorusElement"))
+        for module, name in patched:
+            monkeypatch.setattr(module, name, refuse)
+        assert not hasattr(ss_basis, "is_supersymmetric")
+        rep = verify_basis(spec)
+        assert rep.passed, rep.failures
+
+
 def corrupt_one_class(monkeypatch, spec, mode):
-    """Make `verify_basis` see one wrong class: a member dropped, or a second
-    class merged into it."""
-    original = ss_basis.enumerate_equivalence_class
+    """Make `verify_basis` label one class wrongly: one member's form leaves
+    the enumerated set ("drop"), a second class takes the target's form
+    ("merge"), or one member takes the form of the second class ("move").
+    Returns the target and the second canonical label."""
+    original = ss_basis._canonical_form
     canonicals = enumerate_canonical(spec)
-    target = next(c for c in canonicals if len(original(c, spec).members) > 1)
+    target = next(c for c in canonicals if len(enumerate_equivalence_class(c, spec).members) > 1)
     other = next(c for c in canonicals if c != target)
+    member = next(ev for ev in enumerate_equivalence_class(target, spec).members if ev != target.ev)
 
-    def corrupted(c, sp):
-        cls = original(c, sp)
-        if c != target:
-            return cls
-        if mode == "drop":
-            return EquivClass(c, cls.members[1:])
-        merged = set(cls.members) | set(original(other, sp).members)
-        return EquivClass(c, tuple(sorted(merged)))
+    def form_of(c):
+        return c.ev.a, c.ev.b, c.defect, c.e, c.f
 
-    monkeypatch.setattr(ss_basis, "enumerate_equivalence_class", corrupted)
+    def corrupted(a, b, p, q):
+        form = original(a, b, p, q)
+        is_member = (a, b) == (member.a, member.b)
+        if mode == "drop" and is_member:
+            return ()
+        if mode == "merge" and form == form_of(other):
+            return form_of(target)
+        if mode == "move" and is_member:
+            return form_of(other)
+        return form
+
+    monkeypatch.setattr(ss_basis, "_canonical_form", corrupted)
+    return target, other
 
 
 class TestVerifyBasisCatchesCorruption:
     # (2,1,5,1) is above the dense threshold, (2,1,3,1) below it
     @pytest.mark.parametrize("t", [(2, 1, 5, 1), (2, 1, 3, 1)])
-    @pytest.mark.parametrize("mode", ["drop", "merge"])
+    @pytest.mark.parametrize("mode", ["drop", "merge", "move"])
     def test_reports_failure(self, monkeypatch, capsys, t, mode):
         spec = TorusSpec(*t)
-        corrupt_one_class(monkeypatch, spec, mode)
+        target, other = corrupt_one_class(monkeypatch, spec, mode)
         rep = verify_basis(spec)
         assert not rep.passed
-        assert not rep.partition_ok and not rep.h_basis_ok
+        assert not rep.h_basis_ok
         assert "class-sum span differs from the oracle span" in rep.failures
+        if mode == "move":
+            assert rep.partition_ok
+            for c in (target, other):
+                assert f"class sum at {c.ev} is not supersymmetric" in rep.failures
+        else:
+            assert not rep.partition_ok
         if mode == "merge":
             assert "class sums are linearly dependent" in rep.failures
         argv = ["verify"] + [f"--{k}={v}" for k, v in zip("mnpr", t)]

@@ -75,6 +75,13 @@ class TestSpec:
     def test_cap_not_part_of_identity(self):
         assert TorusSpec(1, 1, 2, 1) == TorusSpec(1, 1, 2, 1, cap=100)
 
+    def test_stored_q_not_part_of_identity(self):
+        spec = TorusSpec(2, 1, 3, 2)
+        assert repr(spec) == "TorusSpec(m=2, n=1, p=3, r=2)"
+        assert hash(spec) == hash(TorusSpec(2, 1, 3, 2, cap=10**9))
+        with pytest.raises(TypeError):
+            TorusSpec(2, 1, 3, 2, q=9)
+
     def test_slot_positions(self):
         spec = TorusSpec(2, 3, 2, 1)
         assert [spec.slot("x", i) for i in (1, 2)] == [0, 1]
