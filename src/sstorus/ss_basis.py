@@ -286,17 +286,24 @@ class CountReport:
         }
 
 
-def _label_classes(spec: TorusSpec, shapes: list) -> list:
-    """The class of every label, in label order: the position in `shapes`
-    of its canonical form, or None if the form is not among them."""
+def _label_classes(spec: TorusSpec):
+    """The sorted `_canonical_shapes`; the class of every label, in label order:
+    the position of its canonical form among them, or None if absent; and each
+    class as its increasing flat label indices."""
     m, n, p, q = spec.m, spec.n, spec.p, spec.q
+    shapes = sorted(_canonical_shapes(spec))
     index = {shape: i for i, shape in enumerate(shapes)}
     rng = range(q)
-    return [
+    label_class = [
         index.get(_canonical_form(a, b, p, q))
         for a in itertools.product(rng, repeat=m)
         for b in itertools.product(rng, repeat=n)
     ]
+    classes = [[] for _ in shapes]
+    for t, c in enumerate(label_class):
+        if c is not None:
+            classes[c].append(t)
+    return shapes, label_class, classes
 
 
 def verify_basis(spec: TorusSpec) -> CountReport:
@@ -315,15 +322,11 @@ def verify_basis(spec: TorusSpec) -> CountReport:
     `DENSE_ORACLE_MAX_N` labels the dense oracle and the rank and span
     computations run as well, and the two oracles must agree.
     """
+    # The component oracle rejects n = 0 before any label is visited.
+    components = _label_components(spec)
     failures = []
     p, q, size = spec.p, spec.q, spec.dimension
-
-    shapes = sorted(_canonical_shapes(spec))
-    label_class = _label_classes(spec, shapes)
-    classes = [[] for _ in shapes]
-    for t, c in enumerate(label_class):
-        if c is not None:
-            classes[c].append(t)
+    shapes, label_class, classes = _label_classes(spec)
 
     # Each canonical label is its own form, so it lies in its own class.
     partition_ok = None not in label_class and all(
@@ -332,7 +335,6 @@ def verify_basis(spec: TorusSpec) -> CountReport:
     if not partition_ok:
         failures.append("classes do not partition the label set")
 
-    components = _label_components(spec)
     mixed = set()
     for comp in components:
         ids = {label_class[t] for t in comp}

@@ -154,6 +154,17 @@ class TestCanonical:
         assert code == 2
 
 
+BASIS_CASES = [
+    pytest.param((2, 2, 3, 1), (), id="class-sums"),
+    pytest.param((2, 2, 3, 1), ("--oracle",), id="oracle"),
+    pytest.param((1, 1, 3, 2), (), id="class-sums-1-1-3-2"),
+    pytest.param((1, 1, 3, 2), ("--oracle",), id="oracle-1-1-3-2"),
+    pytest.param((2, 1, 5, 1), (), id="class-sums-2-1-5-1"),
+    pytest.param((2, 1, 5, 1), ("--oracle",), id="oracle-2-1-5-1"),
+    pytest.param((2, 0, 3, 1), (), id="class-sums-2-0-3-1"),
+]
+
+
 class TestBasis:
     def test_counts(self, capsys):
         code, out, _ = run(capsys, "basis", "--m", "1", "--n", "1", "--p", "2", "--r", "1")
@@ -208,14 +219,15 @@ class TestBasis:
         assert json.loads(out) == expected
         assert len(expected) == ss_basis.dim_closed_form(spec) == 131
 
-    @pytest.mark.parametrize("flags", [(), ("--oracle",)], ids=["class-sums", "oracle"])
-    def test_streamed_output_equals_one_json_document(self, capsys, flags):
-        spec = TorusSpec(2, 2, 3, 1)
+    # `--oracle` exits 2 at n = 0, so (2,0,3,1) has class sums only.
+    @pytest.mark.parametrize("t, flags", BASIS_CASES)
+    def test_streamed_output_equals_one_json_document(self, capsys, t, flags):
+        spec = TorusSpec(*t)
         if flags:
             elements = ss_basis.ss_component_oracle(spec)
         else:
             elements = [ss_basis.build_H(c, spec) for c in enumerate_canonical(spec)]
-        code, out, _ = run(capsys, "basis", "--m", "2", "--n", "2", "--p", "3", "--r", "1", *flags)
+        code, out, _ = run(capsys, "basis", *spec_flags(*t), *flags)
         assert code == 0
         assert out == json.dumps([element_to_dict(e) for e in elements], indent=2) + "\n"
 
@@ -516,6 +528,7 @@ INPUT_GATE = {
     "basis-composite-over-cap": (["basis", *spec_flags(1, 1, 2**61 + 1, 1)], 2, "not prime"),
     "basis-p-beyond-primality-limit": (["basis", *spec_flags(1, 1, 2**89 - 1, 1)], 2, "too large"),
     "count-p-beyond-primality-limit": (["count", *spec_flags(1, 1, 2**89 - 1, 1)], 2, "too large"),
+    "verify-n0": (["verify", *spec_flags(2, 0, 3001, 1)], 2, "needs n >= 1"),
 }
 
 
