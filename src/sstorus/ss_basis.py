@@ -126,16 +126,14 @@ def ss_nullspace_oracle(
     return out
 
 
-def _label_components(spec: TorusSpec) -> List[List[int]]:
-    """Connected components of the constraint graph of the supersymmetric
-    subspace, over flat label indices.
+def _label_components(spec: TorusSpec) -> List[int]:
+    """Labelling of the flat label indices by the least label, or root, of
+    their component in the constraint graph of the supersymmetric subspace.
 
     Edges join each label to its adjacent swaps within each block and, where
     p divides a_1 + b_1, to beta - delta with delta = (+1 at x_1 | -1 at y_1)
     mod q: the two-term equalities that the rows of `ss_nullspace_oracle`
-    amount to in idempotent coordinates.  Union-find links every root under
-    the smaller one, so each component is listed in increasing order and the
-    components come in order of their least label.
+    amount to in idempotent coordinates.
     """
     if spec.n < 1:
         raise ValueError("the supersymmetric subspace needs n >= 1")
@@ -168,18 +166,17 @@ def _label_components(spec: TorusSpec) -> List[List[int]]:
         if (a + b) % p == 0:
             union(t, t + ((a - 1) % q - a) * wx + ((b + 1) % q - b) * wy)
 
-    components: dict = {}
+    # Roots link under smaller roots, so parent[t] <= t and one pass flattens.
     for t in range(len(parent)):
-        components.setdefault(find(t), []).append(t)
-    return list(components.values())
+        parent[t] = parent[parent[t]]
+    return parent
 
 
-def _indicators(spec: TorusSpec, components) -> List[TorusElement]:
-    labels = list(spec.labels())
-    return [
-        TorusElement(spec, Basis.IDEMPOTENT, {labels[t]: 1 for t in comp})
-        for comp in components
-    ]
+def _indicators(spec: TorusSpec, root: List[int]) -> List[TorusElement]:
+    components: dict = {}
+    for ev, r in zip(spec.labels(), root):
+        components.setdefault(r, {})[ev] = 1
+    return [TorusElement(spec, Basis.IDEMPOTENT, terms) for terms in components.values()]
 
 
 def ss_component_oracle(spec: TorusSpec) -> List[TorusElement]:
@@ -287,9 +284,9 @@ class CountReport:
 
 
 def _label_classes(spec: TorusSpec):
-    """The sorted `_canonical_shapes`; the class of every label, in label order:
-    the position of its canonical form among them, or None if absent; and each
-    class as its increasing flat label indices."""
+    """The sorted `_canonical_shapes`, and the class labelling: for every label,
+    in label order, the position of its canonical form among them, or None if
+    absent."""
     m, n, p, q = spec.m, spec.n, spec.p, spec.q
     shapes = sorted(_canonical_shapes(spec))
     index = {shape: i for i, shape in enumerate(shapes)}
@@ -299,11 +296,7 @@ def _label_classes(spec: TorusSpec):
         for a in itertools.product(rng, repeat=m)
         for b in itertools.product(rng, repeat=n)
     ]
-    classes = [[] for _ in shapes]
-    for t, c in enumerate(label_class):
-        if c is not None:
-            classes[c].append(t)
-    return shapes, label_class, classes
+    return shapes, label_class
 
 
 def verify_basis(spec: TorusSpec) -> CountReport:
@@ -314,19 +307,20 @@ def verify_basis(spec: TorusSpec) -> CountReport:
     agree with the closed-form count; the classes partition the label set;
     and for m = n = 1 the listed generators span the same space.
 
-    One pass gives every label the class of its canonical form; classes are
-    lists of flat label indices, never elements.  Against the component
-    oracle, which always runs, the checks are O(N): an H is supersymmetric
-    exactly when it is constant on every component, and the H span the
-    oracle's space exactly when the classes are the components.  Up to
+    One pass gives every label the class of its canonical form, and the
+    component oracle, which always runs, gives every label its root; both
+    partitions are labellings, flat lists indexed by flat label index, and
+    are compared label by label in O(N).  An H is supersymmetric exactly
+    when it is constant on every component, and the H span the oracle's
+    space exactly when the classes are the components.  Up to
     `DENSE_ORACLE_MAX_N` labels the dense oracle and the rank and span
     computations run as well, and the two oracles must agree.
     """
     # The component oracle rejects n = 0 before any label is visited.
-    components = _label_components(spec)
+    root = _label_components(spec)
     failures = []
     p, q, size = spec.p, spec.q, spec.dimension
-    shapes, label_class, classes = _label_classes(spec)
+    shapes, label_class = _label_classes(spec)
 
     # Each canonical label is its own form, so it lies in its own class.
     partition_ok = None not in label_class and all(
@@ -336,29 +330,31 @@ def verify_basis(spec: TorusSpec) -> CountReport:
         failures.append("classes do not partition the label set")
 
     mixed = set()
-    for comp in components:
-        ids = {label_class[t] for t in comp}
-        if len(ids) > 1:
-            mixed |= ids
+    for c, r in zip(label_class, root):
+        if c != label_class[r]:
+            mixed |= {c, label_class[r]}
     mixed.discard(None)
     for c in sorted(mixed):
         ev = ExponentVector(*shapes[c][:2])
         failures.append(f"class sum at {ev} is not supersymmetric")
 
-    independent = all(classes)
-    span_ok = sorted(classes) == components
+    # The classes are the components: all labelled, none mixed, one per root.
+    ids = set(label_class)
+    independent = ids.issuperset(range(len(shapes)))
+    dim = sum(t == r for t, r in enumerate(root))
+    span_ok = None not in ids and not mixed and independent and dim == len(shapes)
 
     oracles = ("component",)
     if size <= DENSE_ORACLE_MAX_N:
         oracles += ("dense",)
         labels = list(spec.labels())
         dense = ss_nullspace_oracle(spec)
-        if dense != _indicators(spec, components):
+        if dense != _indicators(spec, root):
             failures.append("the dense and component oracles disagree")
         h_vecs = [[int(c == i) for c in label_class] for i in range(len(shapes))]
         dense_vecs = [[o.coefficient(ev) for ev in labels] for o in dense]
         independent = independent and fp_linalg.rank(h_vecs, p) == len(h_vecs)
-        span_ok = span_ok and len(dense) == len(classes)
+        span_ok = span_ok and len(dense) == len(shapes)
         span_ok = span_ok and fp_linalg.same_row_space(h_vecs, dense_vecs, p)
     if not independent:
         failures.append("class sums are linearly dependent")
@@ -369,17 +365,20 @@ def verify_basis(spec: TorusSpec) -> CountReport:
     enumerated = len(shapes)
     if not closed == enumerated == count_canonical_total(spec):
         failures.append(f"count mismatch: closed form {closed}, enumerated {enumerated}")
-    if len(components) != closed:
-        failures.append(f"oracle dimension {len(components)} differs from closed form {closed}")
+    if dim != closed:
+        failures.append(f"oracle dimension {dim} differs from closed form {closed}")
 
     gl11_ok = None
     if spec.m == 1 and spec.n == 1:
-        # The supports are 0/1 by construction, and equal to the disjoint
-        # components only if they are disjoint too.
-        gen_supports = sorted(_gl11_supports(p, q))
-        gl11_ok = gen_supports == components
+        # The 0/1 supports are the components if each member's first support
+        # label is its root; a label in two supports gets -1, never a root.
+        gen_root = [None] * size
+        for s in _gl11_supports(p, q):
+            for t in s:
+                gen_root[t] = s[0] if gen_root[t] is None else -1
+        gl11_ok = gen_root == root
         if "dense" in oracles:
-            gen_vecs = [[int(t in s) for t in range(size)] for s in gen_supports]
+            gen_vecs = [[int(t in s) for t in range(size)] for s in _gl11_supports(p, q)]
             gl11_ok = gl11_ok and fp_linalg.same_row_space(gen_vecs, dense_vecs, p)
         if not gl11_ok:
             failures.append("rank-(1|1) generators do not span the oracle space")
@@ -389,7 +388,7 @@ def verify_basis(spec: TorusSpec) -> CountReport:
         spec=spec,
         closed_form=closed,
         enumerated=enumerated,
-        oracle_dim=len(components),
+        oracle_dim=dim,
         h_basis_ok=h_basis_ok,
         partition_ok=partition_ok,
         gl11_span_ok=gl11_ok,

@@ -162,7 +162,8 @@ class TorusElement:
     Immutable by convention; every operation returns a fresh element.  Two
     elements are equal iff their specs, basis tags and term maps agree.  The
     constructor is the one place that reduces coefficients mod p and drops
-    zeros, so operations hand it raw integer sums.
+    zeros, so operations hand it raw integer sums.  A coefficient that is not
+    an `int` (a float or a bool included) raises `ValueError`.
     """
 
     __slots__ = ("spec", "basis", "terms")
@@ -172,7 +173,9 @@ class TorusElement:
         cleaned = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for ev, c in items:
-            c = int(c) % p
+            if type(c) is not int:
+                raise ValueError(f"coefficients must be integers, got {c!r}")
+            c %= p
             if not c:
                 continue
             spec.check_label(ev)
@@ -268,6 +271,8 @@ def add(f: TorusElement, g: TorusElement) -> TorusElement:
 
 
 def scale(c, f: TorusElement) -> TorusElement:
+    if type(c) is not int:
+        raise ValueError(f"coefficients must be integers, got {c!r}")
     return TorusElement(f.spec, f.basis, {ev: c * cc for ev, cc in f.terms.items()})
 
 

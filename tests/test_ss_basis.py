@@ -355,16 +355,33 @@ LABELLING_SPECS = DEFAULT_GRID + [
 ]
 
 
+def blocks(labelling) -> dict:
+    """The flat label indices of each entry of `labelling`, increasing, keyed
+    in order of first occurrence."""
+    out: dict = {}
+    for t, c in enumerate(labelling):
+        out.setdefault(c, []).append(t)
+    return out
+
+
+def bfs_classes(spec):
+    """Each class of `enumerate_canonical`, closed by BFS, as increasing flat
+    label indices."""
+    index = {ev: i for i, ev in enumerate(spec.labels())}
+    return [
+        sorted(index[ev] for ev in enumerate_equivalence_class(c, spec).members)
+        for c in enumerate_canonical(spec)
+    ]
+
+
 class TestLabelClasses:
     @pytest.mark.parametrize("t", LABELLING_SPECS)
     def test_classes_equal_bfs_classes(self, t):
         spec = TorusSpec(*t)
-        index = {ev: i for i, ev in enumerate(spec.labels())}
-        classes = ss_basis._label_classes(spec)[2]
-        bfs = [
-            sorted(index[ev] for ev in enumerate_equivalence_class(c, spec).members)
-            for c in enumerate_canonical(spec)
-        ]
+        shapes, label_class = ss_basis._label_classes(spec)
+        grouped = blocks(label_class)
+        classes = [grouped.get(i, []) for i in range(len(shapes))]
+        bfs = bfs_classes(spec)
         assert classes == bfs
 
     @pytest.mark.parametrize("t", LABELLING_SPECS)
@@ -399,10 +416,29 @@ class TestLabelClasses:
         assert rep.passed, rep.failures
 
 
+class TestLabelComponents:
+    @pytest.mark.parametrize("t", [t for t in LABELLING_SPECS if t[1] >= 1])
+    def test_roots_are_least_labels_of_the_bfs_classes(self, t):
+        spec = TorusSpec(*t)
+        root = ss_basis._label_components(spec)
+        assert len(root) == spec.dimension
+        assert all(root[s] <= s and root[root[s]] == root[s] for s in range(len(root)))
+        assert list(blocks(root).values()) == sorted(bfs_classes(spec))
+
+    @pytest.mark.parametrize("t", DEFAULT_GRID)
+    def test_roots_group_into_dense_oracle_supports(self, t):
+        spec = TorusSpec(*t)
+        index = {ev: i for i, ev in enumerate(spec.labels())}
+        supports = [sorted(index[ev] for ev in o.terms) for o in ss_nullspace_oracle(spec)]
+        assert list(blocks(ss_basis._label_components(spec)).values()) == supports
+
+
 def corrupt_one_class(monkeypatch, spec, mode):
     """Make `verify_basis` label one class wrongly: one member's form leaves
     the enumerated set ("drop"), a second class takes the target's form
-    ("merge"), or one member takes the form of the second class ("move").
+    ("merge"), one member takes the form of the second class ("move"), or
+    the target's own canonical label does ("move-canonical"), so that a
+    canonical label is not its own form while every label still has a class.
     Returns the target and the second canonical label."""
     original = ss_basis._canonical_form
     canonicals = enumerate_canonical(spec)
@@ -422,31 +458,84 @@ def corrupt_one_class(monkeypatch, spec, mode):
             return form_of(target)
         if mode == "move" and is_member:
             return form_of(other)
+        if mode == "move-canonical" and (a, b) == (target.ev.a, target.ev.b):
+            return form_of(other)
         return form
 
     monkeypatch.setattr(ss_basis, "_canonical_form", corrupted)
     return target, other
 
 
+# The failures of each corruption mode at (2,1,5,1) and (2,1,3,1), where the
+# target is (0,0|0) and the second class (0,0|1).
+PARTITION = "classes do not partition the label set"
+NOT_SS = [f"class sum at {ev} is not supersymmetric" for ev in ("(0,0|0)", "(0,0|1)")]
+SPAN = "class-sum span differs from the oracle span"
+CORRUPTION_FAILURES = {
+    "drop": [PARTITION, NOT_SS[0], SPAN],
+    "merge": [PARTITION, "class sums are linearly dependent", SPAN],
+    "move": NOT_SS + [SPAN],
+    "move-canonical": [PARTITION] + NOT_SS + [SPAN],
+}
+
+
 class TestVerifyBasisCatchesCorruption:
     # (2,1,5,1) is above the dense threshold, (2,1,3,1) below it
     @pytest.mark.parametrize("t", [(2, 1, 5, 1), (2, 1, 3, 1)])
-    @pytest.mark.parametrize("mode", ["drop", "merge", "move"])
+    @pytest.mark.parametrize("mode", CORRUPTION_FAILURES)
     def test_reports_failure(self, monkeypatch, capsys, t, mode):
         spec = TorusSpec(*t)
         target, other = corrupt_one_class(monkeypatch, spec, mode)
+        assert (str(target.ev), str(other.ev)) == ("(0,0|0)", "(0,0|1)")
         rep = verify_basis(spec)
         assert not rep.passed
-        assert not rep.h_basis_ok
-        assert "class-sum span differs from the oracle span" in rep.failures
-        if mode == "move":
-            assert rep.partition_ok
-            for c in (target, other):
-                assert f"class sum at {c.ev} is not supersymmetric" in rep.failures
-        else:
-            assert not rep.partition_ok
-        if mode == "merge":
-            assert "class sums are linearly dependent" in rep.failures
+        assert rep.failures == CORRUPTION_FAILURES[mode]
+        dim = {(2, 1, 5, 1): 55, (2, 1, 3, 1): 12}[t]
+        assert rep.to_dict() == {
+            "spec": dict(zip("mnpr", t), q=spec.q),
+            "closed_form": dim,
+            "enumerated": dim,
+            "oracle_dim": dim,
+            "h_basis_ok": False,
+            "partition_ok": mode == "move",
+            "gl11_span_ok": None,
+        }
         argv = ["verify"] + [f"--{k}={v}" for k, v in zip("mnpr", t)]
         assert main(argv) == 1
-        assert "FAIL" in capsys.readouterr().err
+        assert capsys.readouterr().err == "".join(
+            f"FAIL {spec}: {failure}\n" for failure in CORRUPTION_FAILURES[mode]
+        )
+
+
+def corrupt_gl11_supports(monkeypatch, mode):
+    """Make `verify_basis` see wrong gl(1|1) supports: the cyclic support
+    absorbs the first singleton ("merge"), splits in two halves ("split"), or
+    also lists the first singleton's label, ahead of it ("twice")."""
+    original = ss_basis._gl11_supports
+
+    def corrupted(p, q):
+        *singles, cycle = original(p, q)
+        if mode == "merge":
+            return singles[1:] + [sorted(cycle + singles[0])]
+        if mode == "split":
+            return singles + [cycle[: q // 2], cycle[q // 2 :]]
+        # listed last, the singleton alone would leave the labelling right
+        return [sorted(cycle + singles[0])] + singles
+
+    monkeypatch.setattr(ss_basis, "_gl11_supports", corrupted)
+
+
+class TestVerifyBasisCatchesGl11Corruption:
+    # (1,1,11,1) runs only the component oracle, (1,1,3,1) the dense one too
+    @pytest.mark.parametrize("t", [(1, 1, 11, 1), (1, 1, 3, 1)])
+    @pytest.mark.parametrize("mode", ["merge", "split", "twice"])
+    def test_reports_failure(self, monkeypatch, capsys, t, mode):
+        spec = TorusSpec(*t)
+        corrupt_gl11_supports(monkeypatch, mode)
+        rep = verify_basis(spec)
+        assert rep.gl11_span_ok is False
+        assert rep.failures == ["rank-(1|1) generators do not span the oracle space"]
+        assert main(["verify"] + [f"--{k}={v}" for k, v in zip("mnpr", t)]) == 1
+        assert capsys.readouterr().err == (
+            f"FAIL {spec}: rank-(1|1) generators do not span the oracle space\n"
+        )

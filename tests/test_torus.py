@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -137,6 +138,34 @@ class TestElementBasics:
         ev = ExponentVector([1, 2], [0])
         assert (ev.a, ev.b) == ((1, 2), (0,))
         assert ev == ExponentVector((1, 2), (0,))
+
+    def test_coefficients_must_be_int(self):
+        spec = TorusSpec(1, 1, 5, 1)
+        ev = ExponentVector((1,), (2,))
+        f = TorusElement(spec, Basis.BINOMIAL, {ev: 3})
+        for c in (3.9, True, 3.0, Fraction(3)):
+            with pytest.raises(ValueError, match="must be integers"):
+                TorusElement(spec, Basis.BINOMIAL, {ev: c})
+        for make in (
+            lambda: f * 0.5,
+            lambda: 0.5 * f,
+            lambda: f * 2.5,
+            lambda: f * True,
+            lambda: scale(Fraction(1, 2), f),
+            lambda: scale(False, f),
+        ):
+            with pytest.raises(ValueError, match="must be integers"):
+                make()
+
+    def test_coefficients_reduce_mod_p(self):
+        spec = TorusSpec(1, 1, 5, 1)
+        ev = ExponentVector((1,), (2,))
+        for c, reduced in ((-1, 4), (-7, 3), (5, None), (12, 2), (5**40 + 1, 1)):
+            f = TorusElement(spec, Basis.BINOMIAL, {ev: c})
+            assert f.terms == ({ev: reduced} if reduced else {})
+        f = TorusElement(spec, Basis.BINOMIAL, {ev: 3})
+        assert (f * -1).terms == (-1 * f).terms == {ev: 2}
+        assert scale(7, f).terms == {ev: 1}
 
     def test_label_validation(self):
         spec = TorusSpec(1, 1, 2, 1)
