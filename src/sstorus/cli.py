@@ -54,7 +54,7 @@ def _load_element(path: str, cap: int):
 def _load_config(args) -> dict:
     if not getattr(args, "config", None):
         return {}
-    data = json.loads(_read_text(args.config))
+    data = torus.load_json(_read_text(args.config))
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
     return data

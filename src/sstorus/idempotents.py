@@ -22,6 +22,8 @@ from .torus import (
     ExponentVector,
     TorusElement,
     TorusSpec,
+    _element,
+    _ev,
     _require_basis,
     _require_same_spec,
 )
@@ -146,9 +148,9 @@ def _change_basis(f: TorusElement, table: tuple, basis: Basis) -> TorusElement:
         cur = {idx: r for idx, c in acc.items() if (r := c % p)}
     terms = []  # in label order, as spec.labels() yields them
     for idx, c in sorted(cur.items()):
-        hi, lo = divmod(idx, q**n)
-        terms.append((ExponentVector(_digits(hi, q, m), _digits(lo, q, n)), c))
-    return TorusElement(spec, basis, terms)
+        hi, lo = divmod(idx, q**n)  # idx < q^(m+n), so every digit is in range
+        terms.append((_ev(_digits(hi, q, m), _digits(lo, q, n)), c))
+    return _element(spec, basis, terms)
 
 
 def to_idempotent_basis(f: TorusElement) -> TorusElement:
@@ -175,5 +177,5 @@ def multiply_idempotent_basis(f: TorusElement, g: TorusElement) -> TorusElement:
     _require_basis(f, Basis.IDEMPOTENT)
     _require_basis(g, Basis.IDEMPOTENT)
     small, large = (f.terms, g.terms) if len(f.terms) <= len(g.terms) else (g.terms, f.terms)
-    terms = {ev: c * large[ev] for ev, c in small.items() if ev in large}
-    return TorusElement(f.spec, Basis.IDEMPOTENT, terms)
+    terms = [(ev, c * large[ev]) for ev, c in small.items() if ev in large]
+    return _element(f.spec, Basis.IDEMPOTENT, terms)

@@ -18,13 +18,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from . import torus
 from .idempotents import from_idempotent_basis, to_idempotent_basis
 from .torus import (
     Basis,
     ExponentVector,
     TorusElement,
     TorusSpec,
+    _element,
+    _ev,
     _require_basis,
     _require_same_spec,
 )
@@ -35,7 +36,8 @@ def _put(key: tuple, slot: int, value: int) -> tuple:
 
 
 def shift_substitute(f: TorusElement, i: int, j: int) -> TorusElement:
-    """Apply the shift x_i -> x_i - 1, y_j -> y_j + 1 termwise."""
+    """Apply the shift x_i -> x_i - 1, y_j -> y_j + 1 termwise.  New
+    exponents are t <= k and, only when l >= 1, l - 1, so all in range."""
     _require_basis(f, Basis.BINOMIAL)
     spec = f.spec
     ix, jy = spec.slot("x", i), spec.slot("y", j)
@@ -52,13 +54,15 @@ def shift_substitute(f: TorusElement, i: int, j: int) -> TorusElement:
                 key[jy] = lb
                 new = tuple(key)
                 acc[new] = acc.get(new, 0) + ct
-    terms = {ExponentVector(ex[:m], ex[m:]): c for ex, c in acc.items()}
-    return TorusElement(spec, Basis.BINOMIAL, terms)
+    return _element(spec, Basis.BINOMIAL, [(_ev(ex[:m], ex[m:]), c) for ex, c in acc.items()])
 
 
 def phi(f: TorusElement, i: int, j: int) -> TorusElement:
     """The difference f - s_ij(f)."""
-    return torus.add(f, torus.scale(-1, shift_substitute(f, i, j)))
+    terms = dict(f.terms)
+    for ev, c in shift_substitute(f, i, j).terms.items():
+        terms[ev] = terms.get(ev, 0) - c
+    return _element(f.spec, f.basis, terms.items())
 
 
 @dataclass(frozen=True)
@@ -89,8 +93,8 @@ def is_multiple_of_linear(g: TorusElement, i: int, j: int) -> DaggerWitness:
         s = (ev.a[ix] + ev.b[jy]) % p
         if s == 0:
             return DaggerWitness(False, None)
-        quot[ev] = c * pow(s, -1, p) % p
-    return DaggerWitness(True, TorusElement(spec, Basis.IDEMPOTENT, quot))
+        quot[ev] = c * pow(s, -1, p)
+    return DaggerWitness(True, _element(spec, Basis.IDEMPOTENT, quot.items()))
 
 
 def is_bisymmetric(f: TorusElement) -> bool:

@@ -59,7 +59,7 @@ class Basis(enum.Enum):
     IDEMPOTENT = "idempotent"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ExponentVector:
     """A label (a_1..a_m | b_1..b_n); compares lexicographically."""
 
@@ -156,14 +156,29 @@ class TorusSpec:
                 raise ValueError(f"label {ev} has an exponent outside [0, {q})")
 
 
+_new, _set = object.__new__, object.__setattr__
+
+
+def _ev(a: tuple, b: tuple) -> ExponentVector:
+    """An `ExponentVector` from two tuples of ints, without the public
+    constructor's checks: for labels built from checked ones."""
+    ev = _new(ExponentVector)
+    _set(ev, "a", a)
+    _set(ev, "b", b)
+    return ev
+
+
 class TorusElement:
     """A sparse element: finite map from labels to nonzero residues mod p.
 
     Immutable by convention; every operation returns a fresh element.  Two
     elements are equal iff their specs, basis tags and term maps agree.  The
-    constructor is the one place that reduces coefficients mod p and drops
-    zeros, so operations hand it raw integer sums.  A coefficient that is not
-    an `int` (a float or a bool included) raises `ValueError`.
+    constructors are the one place that reduces coefficients mod p and drops
+    zeros, so operations hand them raw integer sums.  A coefficient that is
+    not an `int` (a float or a bool included) raises `ValueError`, and so
+    does a label outside the spec.  Operations whose labels are in range by
+    construction build their results through `_element` instead, which
+    skips both checks.
     """
 
     __slots__ = ("spec", "basis", "terms")
@@ -240,6 +255,16 @@ class TorusElement:
         )
 
 
+def _element(spec: TorusSpec, basis: Basis, terms) -> TorusElement:
+    """A `TorusElement` from (label, int) pairs whose labels are in range by
+    construction: reduces mod p and drops zeros, and checks nothing."""
+    p = spec.p
+    f = _new(TorusElement)
+    f.spec, f.basis = spec, basis
+    f.terms = {ev: r for ev, c in terms if (r := c % p)}
+    return f
+
+
 def _require_same_spec(f: TorusElement, g: TorusElement):
     if f.spec != g.spec:
         raise MismatchError(f"spec mismatch: {f.spec} vs {g.spec}")
@@ -267,13 +292,13 @@ def add(f: TorusElement, g: TorusElement) -> TorusElement:
     terms = dict(f.terms)
     for ev, c in g.terms.items():
         terms[ev] = terms.get(ev, 0) + c
-    return TorusElement(f.spec, f.basis, terms)
+    return _element(f.spec, f.basis, terms.items())
 
 
 def scale(c, f: TorusElement) -> TorusElement:
     if type(c) is not int:
         raise ValueError(f"coefficients must be integers, got {c!r}")
-    return TorusElement(f.spec, f.basis, {ev: c * cc for ev, cc in f.terms.items()})
+    return _element(f.spec, f.basis, [(ev, c * cc) for ev, cc in f.terms.items()])
 
 
 def _coordinate_table(k1: int, k2: int, p: int, q: int):
@@ -317,11 +342,10 @@ def multiply(f: TorusElement, g: TorusElement) -> TorusElement:
             c12 = c1 * c2
             for ex, c in _monomial_product(key1, key2, p, q):
                 acc[ex] = acc.get(ex, 0) + c12 * c
-    terms = {}
-    for ex, c in acc.items():
-        if c % p:
-            terms[ExponentVector(ex[:m], ex[m:])] = c
-    return TorusElement(spec, Basis.BINOMIAL, terms)
+    # _coordinate_table keeps exponents below q.
+    return _element(
+        spec, Basis.BINOMIAL, [(_ev(ex[:m], ex[m:]), c) for ex, c in acc.items() if c % p]
+    )
 
 
 def multiply_by_coordinate(f: TorusElement, block: str, index: int) -> TorusElement:
@@ -427,5 +451,13 @@ def element_to_json(f: TorusElement) -> str:
     return element_text(element_to_dict(f))
 
 
+def load_json(text: str):
+    """`json.loads`, with nesting too deep for the parser as a `ValueError`."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
+
+
 def element_from_json(text: str, cap: int = DEFAULT_CAP) -> TorusElement:
-    return element_from_dict(json.loads(text), cap=cap)
+    return element_from_dict(load_json(text), cap=cap)

@@ -89,6 +89,14 @@ class TestMul:
         assert code == 0
         assert out == json.dumps(element_to_dict(product), indent=2) + "\n"
 
+    def test_dense_output_matches_golden(self, capsys):
+        # two seeded operands of 92 terms each at (2,1,3,2), N = 729
+        lhs, rhs = (str(DATA / f"mul_2_1_3_2_{side}.json") for side in ("lhs", "rhs"))
+        code, out, err = run(capsys, "mul", lhs, rhs)
+        assert code == 0
+        assert err == ""
+        assert out == (DATA / "mul_2_1_3_2.json").read_text()
+
     def test_spec_mismatch_exits_2(self, capsys, tmp_path, spec11):
         lhs = write_element(tmp_path, "a.json", one(spec11))
         rhs = write_element(tmp_path, "b.json", one(TorusSpec(1, 1, 3, 1)))
@@ -503,7 +511,8 @@ def spec_flags(m, n, p, r):
 
 
 M61 = 2**61 - 1  # a prime
-# argv (HUGE_M names an element file with m = 10^12 at p = 3), exit code and
+# argv (HUGE_M names an element file with m = 10^12 at p = 3, DEEP a JSON file
+# of 200,000 nested arrays, too deep for the parser), exit code and
 # a piece of the expected message or, for exit 0, the expected total.  The
 # numbers are large enough that any power, trial division or decimal
 # conversion of them would hang or fail.
@@ -517,6 +526,8 @@ INPUT_GATE = {
     "basis-m15000": (["basis", *spec_flags(15000, 1, 2, 1)], 3, "2^15001 exceeds"),
     "basis-huge-r": (["basis", *spec_flags(1, 1, 2, 3_000_000_000)], 3, "label cap"),
     "mul-huge-m": (["mul", "HUGE_M", "HUGE_M"], 3, "3^1000000000001 exceeds"),
+    "mul-deep-json": (["mul", "DEEP", "DEEP"], 2, "nested too deeply"),
+    "verify-grid-deep-config": (["verify", "--grid", "--config", "DEEP"], 2, "nested too deeply"),
     "count-huge-r": (["count", *spec_flags(1, 1, 2, 3_000_000_000)], 2, "too many digits"),
     "count-large-r": (["count", *spec_flags(1, 1, 2, 30_000_000)], 2, "too many digits"),
     "count-mersenne-prime": (["count", *spec_flags(1, 1, M61, 1)], 0, M61 * (M61 - 1) + 1),
@@ -551,9 +562,10 @@ def run_gated(argv):
 @pytest.mark.parametrize("argv, code, expected", INPUT_GATE.values(), ids=INPUT_GATE.keys())
 def test_input_gate_is_fast_and_exact(tmp_path, argv, code, expected):
     """Each input is decided in seconds, in a child limited to 2 GB."""
-    huge = tmp_path / "huge.json"
-    huge.write_text(element_json(m=10**12, terms=[]))
-    proc = run_gated([str(huge) if a == "HUGE_M" else a for a in argv])
+    files = {"HUGE_M": tmp_path / "huge.json", "DEEP": tmp_path / "deep.json"}
+    files["HUGE_M"].write_text(element_json(m=10**12, terms=[]))
+    files["DEEP"].write_text("[" * 200_000)
+    proc = run_gated([str(files.get(a, a)) for a in argv])
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "Exceeds the limit" not in proc.stderr

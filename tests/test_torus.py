@@ -25,9 +25,15 @@ from sstorus.torus import (
     printable_power,
     scale,
     zero,
+    _element,
+    _ev,
 )
-from sstorus.idempotents import from_idempotent_basis, to_idempotent_basis
-from sstorus.supersymmetry import phi
+from sstorus.idempotents import (
+    from_idempotent_basis,
+    multiply_idempotent_basis,
+    to_idempotent_basis,
+)
+from sstorus.supersymmetry import is_multiple_of_linear, phi, shift_substitute
 from util import (
     element_documents,
     integer_monomial_product,
@@ -442,3 +448,125 @@ class TestJson:
             element_from_dict({"m": 1, "n": 1, "p": 2})
         with pytest.raises(ValueError):
             element_from_json(json.dumps({"m": 1, "n": 1, "p": 2, "r": 1, "basis": "other", "terms": []}))
+
+
+class TestExponentVectorSlots:
+    """`ExponentVector` is a frozen, ordered dataclass with slots."""
+
+    def test_repr_and_str(self):
+        ev = ExponentVector((1, 12), (0,))
+        assert repr(ev) == "ExponentVector(a=(1, 12), b=(0,))"
+        assert str(ev) == "(1,12|0)"
+        assert str(ExponentVector((3,), ())) == "(3|)"
+
+    def test_lexicographic_order(self):
+        ev = ExponentVector
+        labels = [ev((1, 0), (0,)), ev((0, 2), (1,)), ev((0, 2), (0,)), ev((0, 10), (0,))]
+        assert sorted(labels) == [labels[2], labels[1], labels[3], labels[0]]
+        assert ev((0, 2), (0,)) < ev((0, 2), (1,)) <= ev((0, 2), (1,))
+        assert max(labels) == ev((1, 0), (0,))
+
+    def test_equal_labels_hash_equal(self):
+        built = [ExponentVector((1, 2), (0,)), ExponentVector([1, 2], [0]), _ev((1, 2), (0,))]
+        assert len({hash(ev) for ev in built}) == 1
+        assert len(set(built)) == 1
+        assert {built[0]: 5}[built[2]] == 5
+
+    def test_attributes_cannot_be_set(self):
+        ev = ExponentVector((1,), (0,))
+        for name in ("a", "b"):
+            with pytest.raises(AttributeError):
+                setattr(ev, name, (2,))
+        # A name that is no field is refused too; CPython 3.10 and 3.11 raise
+        # TypeError there for a frozen dataclass with slots.
+        with pytest.raises((AttributeError, TypeError)):
+            ev.c = (2,)
+        assert not hasattr(ev, "__dict__") and not hasattr(ev, "c")
+        assert (ev.a, ev.b) == ((1,), (0,))
+
+
+INTERNAL_SPECS = [
+    TorusSpec(1, 1, 2, 2),
+    TorusSpec(2, 1, 3, 1),
+    TorusSpec(2, 2, 5, 1),
+    TorusSpec(1, 2, 3, 2),
+]
+
+
+def edge_element(spec, rng, basis=Basis.BINOMIAL, k=6):
+    """A random element whose labels favour the entries 0 and q - 1, with
+    the all-0 and all-(q - 1) labels always present."""
+    q, m, n = spec.q, spec.m, spec.n
+
+    def entry():
+        return rng.choice((0, q - 1, rng.randrange(q)))
+
+    terms = {
+        ExponentVector((0,) * m, (0,) * n): rng.randrange(1, spec.p),
+        ExponentVector((q - 1,) * m, (q - 1,) * n): rng.randrange(1, spec.p),
+    }
+    for _ in range(k):
+        label = ExponentVector(tuple(entry() for _ in range(m)), tuple(entry() for _ in range(n)))
+        terms[label] = rng.randrange(1, spec.p)
+    return TorusElement(spec, basis, terms)
+
+
+def assert_like_public(res):
+    """`res` is exactly what the public, checked constructor builds from its
+    terms: labels in range, int tuples, coefficients in [1, p)."""
+    spec, p = res.spec, res.spec.p
+    assert TorusElement(spec, res.basis, dict(res.terms)) == res
+    for ev, c in res.terms.items():
+        assert type(ev) is ExponentVector
+        assert type(ev.a) is tuple and type(ev.b) is tuple
+        assert all(type(v) is int for v in ev.a + ev.b)
+        assert type(c) is int and 0 < c < p
+
+
+class TestInternalConstructor:
+    """Results built through `_ev` and `_element` skip the public checks;
+    they must equal what the checked constructor makes of their terms."""
+
+    def test_element_reduces_and_drops_zeros_only(self):
+        spec = TorusSpec(1, 1, 5, 1)
+        u, v, w = _ev((1,), (2,)), _ev((0,), (4,)), _ev((3,), (3,))
+        f = _element(spec, Basis.IDEMPOTENT, [(u, 7), (v, -5), (w, -1)])
+        assert f.terms == {u: 2, w: 4}
+        assert f == TorusElement(spec, Basis.IDEMPOTENT, {u: 7, v: -5, w: -1})
+        assert _element(spec, Basis.BINOMIAL, []) == zero(spec)
+
+    @pytest.mark.parametrize("spec", INTERNAL_SPECS, ids=repr)
+    def test_results_match_checked_construction(self, spec):
+        rng = random.Random(spec.dimension * 7 + spec.p)
+        p, m, n = spec.p, spec.m, spec.n
+        for _ in range(6):
+            f, g = edge_element(spec, rng), edge_element(spec, rng)
+            g_cancel = add(g, scale(p - 1, f))  # f + g_cancel cancels f's terms
+            fi, gi = to_idempotent_basis(f), to_idempotent_basis(g)
+            results = [
+                multiply(f, g),
+                multiply(f, g_cancel),
+                multiply(f, scale(p, g)),
+                fi,
+                gi,
+                from_idempotent_basis(fi),
+                from_idempotent_basis(edge_element(spec, rng, Basis.IDEMPOTENT)),
+                multiply_idempotent_basis(fi, gi),
+                multiply_idempotent_basis(fi, add(gi, scale(p - 1, gi))),
+                add(f, g),
+                add(f, g_cancel),
+                add(f, scale(-1, f)),
+                scale(p - 1, f),
+                scale(p, f),
+                scale(-3 * p - 1, gi),
+            ]
+            for i in range(1, m + 1):
+                for j in range(1, n + 1):
+                    results += [shift_substitute(f, i, j), phi(f, i, j), phi(g_cancel, i, j)]
+                    witness = is_multiple_of_linear(multiply_by_linear(f, i, j), i, j)
+                    assert witness.holds
+                    results.append(witness.quotient)
+            assert add(f, g_cancel) == g
+            assert add(f, scale(-1, f)).is_zero()
+            for res in results:
+                assert_like_public(res)
