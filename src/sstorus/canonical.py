@@ -300,37 +300,72 @@ def count_c_prime(m: int, n: int, p: int) -> int:
     return total
 
 
-def count_defect(m: int, n: int, d: int, q: int, p: int) -> int:
-    """Number of canonical labels of defect d >= 1.
+def _rectangle_sums(m: int, n: int, p: int, ds) -> list:
+    """R(m - d, n - d) for each d in ds, with C(p - 1, l) computed once.
 
-    Scales linearly in q/p; at q = p it sums the residual counts over the
-    admissible split positions (e, f) with min(e, f) = d.
+    R(a, b) sums count_c_prime(M, N, p) over 0 <= M <= a, 0 <= N <= b (0 if
+    a or b < 0).  With l unit residues in the N block, count_c_prime has
+    C(p - 1, l) C(N - 1, l - 1) C(p - 2 - l + M, M) labels, and the
+    hockey-stick identities sum the last two factors over N <= b and M <= a:
+    R(a, b) = sum_l C(p - 1, l) C(b, l) C(p - 1 - l + a, a).  The terms
+    l = 0 and l = p - 1 are the empty blocks, so no boundary case is apart.
+    count_c_prime is symmetric in its blocks, so the smaller one is b.
     """
+    if n > m:
+        m, n = n, m
+    units = [comb(p - 1, l) for l in range(min(n, p))]
+
+    def rect(a, b):
+        if a < 0 or b < 0:
+            return 0
+        return sum(c * comb(b, l) * comb(p - 1 - l + a, a) for l, c in enumerate(units[: b + 1]))
+
+    return [rect(m - d, n - d) for d in ds]
+
+
+def count_defect(m: int, n: int, d: int, q: int, p: int) -> int:
+    """Number of canonical labels of defect d >= 1: q/p times the sum of
+    count_c_prime(m - e, n - f) over the splits with min(e, f) = d, that is
+    the rectangle e, f >= d less the rectangle e, f >= d + 1."""
     if d < 1:
         raise ValueError("defect counts require d >= 1")
-    qp = q // p
-    total = 0
-    for e in range(d, m + 1):
-        total += count_c_prime(m - e, n - d, p)
-    for f in range(d + 1, n + 1):
-        total += count_c_prime(m - d, n - f, p)
-    return qp * total
+    outer, inner = _rectangle_sums(m, n, p, (d, d + 1))
+    return q // p * (outer - inner)
 
 
-def _count_canonical_total(m: int, n: int, q: int, p: int) -> int:
-    qp = q // p
-    positive = 0
-    for e in range(1, m + 1):
-        for f in range(1, n + 1):
-            positive += count_c_prime(m - e, n - f, p)
-    return count_c(m, n, q, p) + qp * positive
+def _counts_by_defect(m: int, n: int, q: int, p: int, top: int) -> list:
+    """count_c, then the counts of defects 1, .., top - 1 and of all defects
+    >= top: they sum to the total if top >= 1 or min(m, n) = 0."""
+    rects = _rectangle_sums(m, n, p, range(1, top + 1)) + [0]
+    return [count_c(m, n, q, p)] + [q // p * (x - y) for x, y in zip(rects, rects[1:])]
+
+
+# The most work `count` takes on, in the units of `_count_work`.  At
+# (m, n, p) = (400, 400, 401), `--by-defect` is 3.8e8 and its sums take
+# about 2.5 s (Python 3.11, shared 2-core x86 host).
+MAX_COUNT_WORK = 5 * 10**8
+
+
+def _count_work(m: int, n: int, q: int, p: int, top: int) -> int:
+    """Estimated cost of `_counts_by_defect`, from small ints: terms times
+    the bits of the largest binomial.
+
+    count_c's double sum has about k^2 terms (k = min(m, n, p - 1)), and
+    each of the top rectangle sums min(m, n, p).  A binomial C(x, y) formed
+    has at most x < q + m + n bits and at most min(y, x - y) * log2(x)
+    bits, where min(y, x - y) <= min(m + n, q).
+    """
+    s = min(m, n)
+    terms = min(s, p - 1) ** 2 + min(s, p) * top
+    x = q + m + n
+    return terms * min(x, min(m + n, q) * x.bit_length())
 
 
 def count_canonical_total(spec: TorusSpec) -> int:
     """Total number of canonical labels for the given algebra."""
     if spec.n < 1:
         raise ValueError("canonical counting requires n >= 1")
-    return _count_canonical_total(spec.m, spec.n, spec.q, spec.p)
+    return sum(_counts_by_defect(spec.m, spec.n, spec.q, spec.p, 1))
 
 
 def count_ordinary_points_m1(m: int, p: int) -> int:

@@ -154,18 +154,30 @@ def cmd_count(args, config: dict, cap: int) -> int:
     q = torus.printable_power(p, r)
     if q is None:
         raise ValueError(f"q = {p}^{r} has too many digits to print")
-    total = canon._count_canonical_total(m, n, q, p)
+    at = f"(m, n, p, r) = ({m}, {n}, {p}, {r})"
+    too_long = ValueError(f"the count at {at} has too many digits to print")
+    # Beside b = (0, .., 0), every sorted a block of nonzero residues is a
+    # canonical label: the total is at least C(N + m - 1, m) >= (N/m)^m for
+    # N = q - q/p, and likewise with the blocks swapped.
+    big = max(m, n)
+    if big * (((q - q // p) // big).bit_length() - 1) >= torus.MAX_PRINT_BITS:
+        raise too_long
+    # Without --by-defect, every positive defect is counted in one sum.
+    top = min(m, n) if args.by_defect else 1
+    work = canon._count_work(m, n, q, p, top)
+    if work > canon.MAX_COUNT_WORK:
+        raise ValueError(
+            f"the count at {at} is too much work: about {work:.1e} bit operations,"
+            f" above {canon.MAX_COUNT_WORK:.1e}"
+        )
+    counts = canon._counts_by_defect(m, n, q, p, top)
+    total = sum(counts)
     # The by-defect counts are the parts of the total, so they print too.
     if total.bit_length() > torus.MAX_PRINT_BITS:
-        raise ValueError(
-            f"the count at (m, n, p, r) = ({m}, {n}, {p}, {r}) has too many digits to print"
-        )
+        raise too_long
     out = {"total": total, "enumerated": enumerated}
     if args.by_defect:
-        by_defect = {"0": canon.count_c(m, n, q, p)}
-        for d in range(1, min(m, n) + 1):
-            by_defect[str(d)] = canon.count_defect(m, n, d, q, p)
-        out["by_defect"] = by_defect
+        out["by_defect"] = {str(d): c for d, c in enumerate(counts)}
     _emit(out)
     return EXIT_OK
 

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from sstorus.canonical import (
+    _counts_by_defect,
     canonicalize,
     class_signature,
     compositions,
@@ -22,7 +23,7 @@ from sstorus.canonical import (
 )
 from sstorus.cli import DEFAULT_GRID
 from sstorus.torus import ExponentVector, TorusSpec
-from util import matching_defect
+from util import matching_defect, split_sum_defect, split_sum_total
 
 SMALL_SPECS = [
     (1, 1, 2, 1),
@@ -391,6 +392,21 @@ class TestCounts:
     def test_count_defect_rejects_zero(self):
         with pytest.raises(ValueError):
             count_defect(1, 1, 0, 2, 2)
+
+    def test_rectangle_sums_match_split_sums(self):
+        for p in (2, 3, 5, 7, 11, 13):
+            for r in (1, 2):
+                q = p**r
+                for m in range(1, 9):
+                    for n in range(1, 9):
+                        zero = count_c(m, n, q, p)
+                        total = split_sum_total(m, n, q, p)
+                        defects = [split_sum_defect(m, n, d, q, p) for d in range(1, min(m, n) + 1)]
+                        for d, expected in enumerate(defects, 1):
+                            assert count_defect(m, n, d, q, p) == expected, (m, n, p, r, d)
+                        by_defect = _counts_by_defect(m, n, q, p, min(m, n))
+                        assert by_defect == [zero, *defects], (m, n, p, r)
+                        assert _counts_by_defect(m, n, q, p, 1) == [zero, total - zero], (m, n, p, r)
 
     def test_totals_examples(self):
         assert count_canonical_total(TorusSpec(1, 1, 2, 1)) == 3

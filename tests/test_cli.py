@@ -362,6 +362,36 @@ class TestCount:
                     for r in (1, 2):
                         assert counted(m, n, p, r) == counted(n, m, p, r), (m, n, p, r)
 
+    def test_by_defect_output_symmetric_in_m_and_n(self, capsys):
+        def counted(m, n, p, r):
+            flags = [f"--{k}={v}" for k, v in zip("mnpr", (m, n, p, r))]
+            code, out, err = run(capsys, "count", *flags, "--by-defect")
+            assert (code, err) == (0, "")
+            return out
+
+        for m in range(2, 7):
+            for n in range(1, m):
+                for p in (2, 3, 5, 7):
+                    for r in (1, 2):
+                        assert counted(m, n, p, r) == counted(n, m, p, r), (m, n, p, r)
+
+    def test_work_bound_counts_one_sum_per_defect(self, capsys):
+        # The total takes one rectangle sum; --by-defect takes one per defect,
+        # 3,000 here, which is over the bound.
+        flags = spec_flags(3000, 3000, 211, 1)
+        code, out, err = run(capsys, "count", *flags)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["enumerated"] is None
+        code, out, err = run(capsys, "count", *flags, "--by-defect")
+        assert (code, out) == (2, "")
+        assert "too much work" in err
+
+    @pytest.mark.parametrize("t", [(2, 2, 5, 2), (2, 20, 23, 1)])
+    def test_by_defect_matches_golden(self, capsys, t):
+        code, out, err = run(capsys, "count", *spec_flags(*t), "--by-defect")
+        assert (code, err) == (0, "")
+        assert out == (DATA / "count_{}_{}_{}_{}.json".format(*t)).read_text()
+
     def test_gl11_r2(self, capsys):
         code, out, _ = run(capsys, "count", "--m", "1", "--n", "1", "--p", "2", "--r", "2")
         assert code == 0
@@ -513,7 +543,8 @@ def spec_flags(m, n, p, r):
 M61 = 2**61 - 1  # a prime
 # argv (HUGE_M names an element file with m = 10^12 at p = 3, DEEP a JSON file
 # of 200,000 nested arrays, too deep for the parser), exit code and
-# a piece of the expected message or, for exit 0, the expected total.  The
+# a piece of the expected message or, for exit 0, the expected total or the
+# name of a golden file in tests/data that holds the whole output.  The
 # numbers are large enough that any power, trial division or decimal
 # conversion of them would hang or fail.
 #
@@ -534,7 +565,21 @@ INPUT_GATE = {
     "count-m1-n400": (["count", *spec_flags(1, 400, 401, 1)], 0, 402 * comb(799, 400)),
     "count-m400-n1": (["count", *spec_flags(400, 1, 401, 1)], 0, 402 * comb(799, 400)),
     "count-m1-n1998": (["count", *spec_flags(1, 1998, 1999, 1)], 0, 2000 * comb(3995, 1998)),
+    "count-m1-n3000": (["count", *spec_flags(1, 3000, 3001, 1)], 0, 3002 * comb(5999, 3000)),
+    # At p = 2 the only defect-zero labels put b_1 = 1 beside a = (0, .., 0),
+    # or the reverse, and count_c_prime(k, 0, 2) = 1 for each e = 1..m.
+    "count-m100000-n1": (["count", *spec_flags(100000, 1, 2, 1)], 0, 100002),
     "count-total-too-long": (["count", *spec_flags(1, 1, 2, 13000)], 2, "(1, 1, 2, 13000)"),
+    "count-total-too-long-large-r": (["count", *spec_flags(50, 50, 211, 1000)], 2, "too many digits"),
+    "count-by-defect-200": (
+        ["count", *spec_flags(200, 200, 211, 1), "--by-defect"], 0, "count_200_200_211_1.json"
+    ),
+    "count-by-defect-400": (
+        ["count", *spec_flags(400, 400, 401, 1), "--by-defect"], 0, "count_400_400_401_1.json"
+    ),
+    "count-too-much-work": (
+        ["count", *spec_flags(3000, 3000, 3001, 1), "--by-defect"], 2, "too much work"
+    ),
     "basis-mersenne-prime": (["basis", *spec_flags(1, 1, M61, 1)], 3, "label cap"),
     "basis-composite-over-cap": (["basis", *spec_flags(1, 1, 2**61 + 1, 1)], 2, "not prime"),
     "basis-p-beyond-primality-limit": (["basis", *spec_flags(1, 1, 2**89 - 1, 1)], 2, "too large"),
@@ -573,6 +618,8 @@ def test_input_gate_is_fast_and_exact(tmp_path, argv, code, expected):
     if code:
         assert expected in proc.stderr
         assert proc.stdout == ""
+    elif isinstance(expected, str):
+        assert proc.stdout == (DATA / expected).read_text()
     else:
         assert json.loads(proc.stdout) == {"total": expected, "enumerated": None}
 

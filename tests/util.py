@@ -4,6 +4,7 @@ independent brute-force oracles the library is checked against."""
 import itertools
 from math import comb
 
+from sstorus.canonical import count_c, count_c_prime
 from sstorus.idempotents import idempotent_h
 from sstorus.torus import Basis, ExponentVector, TorusElement, TorusSpec, element_to_dict
 
@@ -115,3 +116,26 @@ def coeff_vectors(elements, labels):
             vec[index[ev]] = c
         out.append(vec)
     return out
+
+
+def split_sum_defect(m, n, d, q, p):
+    """Reference for `count_defect`: q/p times count_c_prime(m - e, n - f)
+    summed over every split position (e, f) with min(e, f) = d."""
+    qp = q // p
+    total = 0
+    for e in range(d, m + 1):
+        total += count_c_prime(m - e, n - d, p)
+    for f in range(d + 1, n + 1):
+        total += count_c_prime(m - d, n - f, p)
+    return qp * total
+
+
+def split_sum_total(m, n, q, p):
+    """Reference for the total count: count_c plus q/p times
+    count_c_prime(m - e, n - f) summed over every split (e, f) >= (1, 1)."""
+    qp = q // p
+    positive = 0
+    for e in range(1, m + 1):
+        for f in range(1, n + 1):
+            positive += count_c_prime(m - e, n - f, p)
+    return count_c(m, n, q, p) + qp * positive
