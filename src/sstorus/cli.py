@@ -135,8 +135,7 @@ def cmd_basis(args, config: dict, cap: int) -> int:
     if args.oracle:
         elements = ss_basis.ss_component_oracle(spec)
     else:
-        canonicals = canon.enumerate_canonical(spec)
-        elements = (ss_basis.build_H(c, spec) for c in canonicals)
+        elements = ss_basis.class_sums(spec)
     _emit_list(torus.element_to_dict(e) for e in elements)
     return EXIT_OK
 

@@ -2,7 +2,8 @@
 
 Three constructions produce supersymmetric elements: symmetrized special
 idempotents, the residue sums over all ordinary idempotents, and the class
-sums H attached to canonical labels.  The supersymmetric subspace is
+sums H attached to canonical labels; `class_sums` streams every H from one
+labelling of the labels by class.  The supersymmetric subspace is
 recomputed from its defining linear constraints twice: `ss_nullspace_oracle`
 by exact Gaussian elimination, and `ss_component_oracle` by union-find,
 because in idempotent coordinates every constraint equates two coordinates.
@@ -13,8 +14,11 @@ report.
 from __future__ import annotations
 
 import itertools
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import comb
+from operator import mul
 from typing import Iterator, List, Optional
 
 from . import fp_linalg
@@ -25,13 +29,22 @@ from .canonical import (
     count_canonical_total,
     count_c,
     count_c_prime,
+    enumerate_canonical,
     enumerate_equivalence_class,
     is_ordinary,
     is_special,
 )
 from .idempotents import evaluate_point, idempotent_h
 from .supersymmetry import phi, symmetrize
-from .torus import Basis, CapExceededError, ExponentVector, TorusElement, TorusSpec
+from .torus import (
+    Basis,
+    CapExceededError,
+    ExponentVector,
+    TorusElement,
+    TorusSpec,
+    _element,
+    _ev,
+)
 
 # Above this many labels `ss_nullspace_oracle` refuses to build its dense
 # constraint matrix (about 6 s of elimination at this size).
@@ -39,9 +52,92 @@ DENSE_ORACLE_LIMIT = 512
 
 
 def build_H(canonical: CanonicalLabel, spec: TorusSpec) -> TorusElement:
-    """Class sum: coefficient 1 at every member of the equivalence class."""
+    """Class sum: coefficient 1 at every member of the equivalence class,
+    closed by breadth-first search."""
     cls = enumerate_equivalence_class(canonical, spec)
     return TorusElement(spec, Basis.IDEMPOTENT, {ev: 1 for ev in cls.members})
+
+
+def _sorted_positions(q: int, k: int) -> list:
+    """For every block of `itertools.product(range(q), repeat=k)`, in that
+    order, the position of its sorted form in
+    `combinations_with_replacement(range(q), k)`."""
+    index = {c: i for i, c in enumerate(itertools.combinations_with_replacement(range(q), k))}
+    return [index[tuple(sorted(x))] for x in itertools.product(range(q), repeat=k)]
+
+
+def _label_class_ids(spec: TorusSpec, class_of) -> list:
+    """`class_of` of the canonical form of every label, in flat label order.
+
+    The canonical form depends only on the sorted blocks: defect zero sorts
+    them, and the unmatched residues and the total are multiset functions.
+    So it is formed once per pair of sorted blocks, C(q + m - 1, m)
+    C(q + n - 1, n) times, and every label reads its id from that table.
+    """
+    m, n, p, q = spec.m, spec.n, spec.p, spec.q
+    blocks = itertools.combinations_with_replacement
+    table = [
+        [class_of(_canonical_form(a, b, p, q)) for b in blocks(range(q), n)]
+        for a in blocks(range(q), m)
+    ]
+    sb = _sorted_positions(q, n)
+    out = []
+    for i in _sorted_positions(q, m):
+        out.extend(map(table[i].__getitem__, sb))
+    return out
+
+
+def _grouped(labelling, size: int):
+    """Counting sort of the flat label indices by their entry in
+    `labelling`, every entry in range(size): the indices with entry c,
+    increasing, are members[offsets[c]:offsets[c + 1]]."""
+    offsets = array("q", bytes(8 * (size + 1)))
+    for c in labelling:
+        offsets[c + 1] += 1
+    for c in range(size):
+        offsets[c + 1] += offsets[c]
+    fill = offsets[:size]
+    members = array("q", bytes(8 * len(labelling)))
+    for t, c in enumerate(labelling):
+        members[fill[c]] = t
+        fill[c] += 1
+    return members, offsets
+
+
+def _indicators(spec: TorusSpec, labelling, size: int) -> Iterator[TorusElement]:
+    """For each entry in range(size) that `labelling` takes, in increasing
+    order, the element with coefficient 1 at the labels of that entry."""
+    members, offsets = _grouped(labelling, size)
+    del labelling  # freed while the elements stream, if no caller holds it
+    rng = range(spec.q)
+    blocks_a = list(itertools.product(rng, repeat=spec.m))
+    blocks_b = list(itertools.product(rng, repeat=spec.n))
+    width = len(blocks_b)
+    for c in range(size):
+        lo, hi = offsets[c], offsets[c + 1]
+        if lo < hi:
+            yield _element(
+                spec,
+                Basis.IDEMPOTENT,
+                [(_ev(blocks_a[t // width], blocks_b[t % width]), 1) for t in members[lo:hi]],
+            )
+
+
+def class_sums(spec: TorusSpec) -> Iterator[TorusElement]:
+    """The class sum H of every canonical label, in `enumerate_canonical`
+    order, with the classes read from one labelling instead of closed by
+    search: the same elements as `build_H` over `enumerate_canonical`."""
+    k = spec.m + spec.n
+    weights = [spec.q ** (k - 1 - s) for s in range(k)]
+
+    def flat(a: tuple, b: tuple) -> int:
+        return sum(map(mul, a + b, weights))
+
+    # Lexicographic order is flat-index order, so a class id is the rank of
+    # its canonical label's flat index: one array entry per class, no dict.
+    keys = array("q", (flat(c.ev.a, c.ev.b) for c in enumerate_canonical(spec)))
+    labelling = _label_class_ids(spec, lambda form: bisect_left(keys, flat(form[0], form[1])))
+    return _indicators(spec, labelling, len(keys))
 
 
 def build_special(ev: ExponentVector, spec: TorusSpec) -> TorusElement:
@@ -172,13 +268,6 @@ def _label_components(spec: TorusSpec) -> List[int]:
     return parent
 
 
-def _indicators(spec: TorusSpec, root: List[int]) -> List[TorusElement]:
-    components: dict = {}
-    for ev, r in zip(spec.labels(), root):
-        components.setdefault(r, {})[ev] = 1
-    return [TorusElement(spec, Basis.IDEMPOTENT, terms) for terms in components.values()]
-
-
 def ss_component_oracle(spec: TorusSpec) -> List[TorusElement]:
     """Basis of the supersymmetric subspace from the connected components of
     its constraints, in near-linear time.
@@ -187,7 +276,8 @@ def ss_component_oracle(spec: TorusSpec) -> List[TorusElement]:
     component indicators (coefficient 1, sorted by least label) span it;
     they are also the reduced echelon basis `ss_nullspace_oracle` returns.
     """
-    return _indicators(spec, _label_components(spec))
+    root = _label_components(spec)
+    return list(_indicators(spec, root, len(root)))
 
 
 def _gl11_supports(p: int, q: int) -> Iterator[list]:
@@ -287,16 +377,9 @@ def _label_classes(spec: TorusSpec):
     """The sorted `_canonical_shapes`, and the class labelling: for every label,
     in label order, the position of its canonical form among them, or None if
     absent."""
-    m, n, p, q = spec.m, spec.n, spec.p, spec.q
     shapes = sorted(_canonical_shapes(spec))
     index = {shape: i for i, shape in enumerate(shapes)}
-    rng = range(q)
-    label_class = [
-        index.get(_canonical_form(a, b, p, q))
-        for a in itertools.product(rng, repeat=m)
-        for b in itertools.product(rng, repeat=n)
-    ]
-    return shapes, label_class
+    return shapes, _label_class_ids(spec, index.get)
 
 
 def verify_basis(spec: TorusSpec) -> CountReport:
@@ -307,10 +390,11 @@ def verify_basis(spec: TorusSpec) -> CountReport:
     agree with the closed-form count; the classes partition the label set;
     and for m = n = 1 the listed generators span the same space.
 
-    One pass gives every label the class of its canonical form, and the
-    component oracle, which always runs, gives every label its root; both
-    partitions are labellings, flat lists indexed by flat label index, and
-    are compared label by label in O(N).  An H is supersymmetric exactly
+    A table over the pairs of sorted blocks gives every label the class of
+    its canonical form (`_label_class_ids`), and the component oracle, which
+    always runs, gives every label its root; both partitions are
+    labellings, flat lists indexed by flat label index, and are compared
+    label by label in O(N).  An H is supersymmetric exactly
     when it is constant on every component, and the H span the oracle's
     space exactly when the classes are the components.  Up to
     `DENSE_ORACLE_MAX_N` labels the dense oracle and the rank and span
@@ -349,7 +433,7 @@ def verify_basis(spec: TorusSpec) -> CountReport:
         oracles += ("dense",)
         labels = list(spec.labels())
         dense = ss_nullspace_oracle(spec)
-        if dense != _indicators(spec, root):
+        if dense != list(_indicators(spec, root, size)):
             failures.append("the dense and component oracles disagree")
         h_vecs = [[int(c == i) for c in label_class] for i in range(len(shapes))]
         dense_vecs = [[o.coefficient(ev) for ev in labels] for o in dense]

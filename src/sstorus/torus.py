@@ -206,7 +206,8 @@ class TorusElement:
         return not self.terms
 
     def sorted_terms(self):
-        return sorted(self.terms.items())
+        # The order of `ExponentVector`, compared as C-level tuples.
+        return sorted(self.terms.items(), key=_label_key)
 
     def __eq__(self, other):
         if not isinstance(other, TorusElement):
@@ -253,6 +254,11 @@ class TorusElement:
             f"TorusElement({self.spec!r}, {self.basis.value!r}, "
             f"{dict(self.sorted_terms())!r})"
         )
+
+
+def _label_key(term) -> tuple:
+    ev = term[0]
+    return ev.a, ev.b
 
 
 def _element(spec: TorusSpec, basis: Basis, terms) -> TorusElement:
@@ -426,20 +432,16 @@ def element_text(data: dict, pad: str = "") -> str:
 
     A string template in `element_to_dict`'s key order: with an indent,
     json encodes through pure-Python generators, several times slower.
+    Every term fills one `%`-template, built from m and n.
     """
     i2 = "\n" + pad + "  "
     i4, i6, i8 = i2 + "  ", i2 + "    ", i2 + "      "
-    sep8, close8 = "," + i8, i6 + "]"
 
-    def ints(v):
-        return "[" + i8 + sep8.join(map(str, v)) + close8 if v else "[]"
+    def ints(k):
+        return "[" + i8 + ("," + i8).join(["%s"] * k) + i6 + "]" if k else "[]"
 
-    terms = ("," + i4).join(
-        [
-            f'{{{i6}"a": {ints(t["a"])},{i6}"b": {ints(t["b"])},{i6}"c": {t["c"]}{i4}}}'
-            for t in data["terms"]
-        ]
-    )
+    term = f'{{{i6}"a": {ints(data["m"])},{i6}"b": {ints(data["n"])},{i6}"c": %s{i4}}}'
+    terms = ("," + i4).join([term % (*t["a"], *t["b"], t["c"]) for t in data["terms"]])
     return (
         f'{{{i2}"m": {data["m"]},{i2}"n": {data["n"]},{i2}"p": {data["p"]},'
         f'{i2}"r": {data["r"]},{i2}"basis": {json.dumps(data["basis"])},'

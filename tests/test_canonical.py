@@ -6,6 +6,7 @@ import pytest
 
 from sstorus.canonical import (
     _counts_by_defect,
+    _rectangle_sum,
     canonicalize,
     class_signature,
     compositions,
@@ -23,7 +24,7 @@ from sstorus.canonical import (
 )
 from sstorus.cli import DEFAULT_GRID
 from sstorus.torus import ExponentVector, TorusSpec
-from util import matching_defect, split_sum_defect, split_sum_total
+from util import matching_defect, rectangle_sum_by_binomials, split_sum_defect, split_sum_total
 
 SMALL_SPECS = [
     (1, 1, 2, 1),
@@ -407,6 +408,14 @@ class TestCounts:
                         by_defect = _counts_by_defect(m, n, q, p, min(m, n))
                         assert by_defect == [zero, *defects], (m, n, p, r)
                         assert _counts_by_defect(m, n, q, p, 1) == [zero, total - zero], (m, n, p, r)
+
+    def test_rectangle_recurrence_matches_binomials(self):
+        # the grid covers b above and below p - 1 and a = 0
+        for p in (2, 3, 5, 7, 11, 101):
+            for a in range(-1, 14):
+                for b in range(-1, 14):
+                    assert _rectangle_sum(a, b, p) == rectangle_sum_by_binomials(a, b, p), (a, b, p)
+        assert _rectangle_sum(400, 399, 401) == rectangle_sum_by_binomials(400, 399, 401)
 
     def test_totals_examples(self):
         assert count_canonical_total(TorusSpec(1, 1, 2, 1)) == 3

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sstorus import ss_basis
+from sstorus import canonical, ss_basis
 from sstorus.canonical import _canonical_shapes, count_c, enumerate_canonical
 from sstorus.cli import DEFAULT_GRID, _emit_list, main
 from sstorus.idempotents import idempotent_h
@@ -170,6 +170,9 @@ BASIS_CASES = [
     pytest.param((2, 1, 5, 1), (), id="class-sums-2-1-5-1"),
     pytest.param((2, 1, 5, 1), ("--oracle",), id="oracle-2-1-5-1"),
     pytest.param((2, 0, 3, 1), (), id="class-sums-2-0-3-1"),
+    pytest.param((2, 2, 5, 1), (), id="class-sums-2-2-5-1"),
+    pytest.param((3, 1, 2, 2), (), id="class-sums-3-1-2-2"),
+    pytest.param((1, 1, 11, 1), (), id="class-sums-1-1-11-1"),
 ]
 
 
@@ -210,6 +213,19 @@ class TestBasis:
         )
         assert code == 0
         assert out == (DATA / "basis_oracle_2_1_3_1.json").read_text()
+
+    def test_class_sums_output_unchanged(self, capsys, monkeypatch):
+        # golden output of the BFS route; the command reads the classes from
+        # the class table and closes none by search
+        def refuse(*args, **kwargs):
+            raise AssertionError("basis closed a class by search")
+
+        for module in (canonical, ss_basis):
+            monkeypatch.setattr(module, "enumerate_equivalence_class", refuse)
+        monkeypatch.setattr(ss_basis, "build_H", refuse)
+        code, out, _ = run(capsys, "basis", "--m", "2", "--n", "2", "--p", "3", "--r", "1")
+        assert code == 0
+        assert out == (DATA / "basis_2_2_3_1.json").read_text()
 
     def test_oracle_above_dense_threshold_skips_elimination(self, capsys, monkeypatch):
         spec = TorusSpec(2, 2, 5, 1)

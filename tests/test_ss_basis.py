@@ -1,3 +1,4 @@
+import itertools
 from math import comb
 
 import pytest
@@ -17,6 +18,7 @@ from sstorus.ss_basis import (
     build_H,
     build_Ha,
     build_special,
+    class_sums,
     dim_closed_form,
     gl11_generators,
     ss_component_oracle,
@@ -374,7 +376,57 @@ def bfs_classes(spec):
     ]
 
 
+def per_label_classes(spec):
+    """The class labelling with one `_canonical_form` per label: for every
+    label, in label order, the position of its form among the sorted
+    `_canonical_shapes`, or None if absent."""
+    p, q = spec.p, spec.q
+    index = {shape: i for i, shape in enumerate(sorted(canonical._canonical_shapes(spec)))}
+    rng = range(q)
+    return [
+        index.get(_canonical_form(a, b, p, q))
+        for a in itertools.product(rng, repeat=spec.m)
+        for b in itertools.product(rng, repeat=spec.n)
+    ]
+
+
 class TestLabelClasses:
+    # The class table reads each label's form at its sorted blocks; only this
+    # test would see a form that depends on the order within a block.
+    @pytest.mark.parametrize("t", LABELLING_SPECS)
+    def test_form_depends_only_on_sorted_blocks(self, t):
+        spec = TorusSpec(*t)
+        p, q = spec.p, spec.q
+        for ev in spec.labels():
+            sorted_form = _canonical_form(tuple(sorted(ev.a)), tuple(sorted(ev.b)), p, q)
+            assert _canonical_form(ev.a, ev.b, p, q) == sorted_form, ev
+
+    @pytest.mark.parametrize("t", LABELLING_SPECS)
+    def test_table_labelling_equals_per_label_forms(self, t):
+        spec = TorusSpec(*t)
+        shapes, label_class = ss_basis._label_classes(spec)
+        assert shapes == sorted(canonical._canonical_shapes(spec))
+        assert label_class == per_label_classes(spec)
+
+    @pytest.mark.parametrize("t", LABELLING_SPECS)
+    def test_grouped_buckets_partition_the_labels(self, t):
+        spec = TorusSpec(*t)
+        shapes, label_class = ss_basis._label_classes(spec)
+        members, offsets = ss_basis._grouped(label_class, len(shapes))
+        sizes = [hi - lo for lo, hi in zip(offsets, offsets[1:])]
+        assert offsets[0] == 0 and all(sizes)
+        assert sum(sizes) == len(members) == spec.dimension
+        assert sorted(members) == list(range(spec.dimension))
+        grouped = blocks(label_class)
+        assert [list(members[lo:hi]) for lo, hi in zip(offsets, offsets[1:])] == [
+            grouped[c] for c in range(len(shapes))
+        ]
+
+    @pytest.mark.parametrize("t", LABELLING_SPECS)
+    def test_class_sums_equal_bfs_class_sums(self, t):
+        spec = TorusSpec(*t)
+        assert list(class_sums(spec)) == [build_H(c, spec) for c in enumerate_canonical(spec)]
+
     @pytest.mark.parametrize("t", LABELLING_SPECS)
     def test_classes_equal_bfs_classes(self, t):
         spec = TorusSpec(*t)

@@ -139,3 +139,11 @@ def split_sum_total(m, n, q, p):
         for f in range(1, n + 1):
             positive += count_c_prime(m - e, n - f, p)
     return count_c(m, n, q, p) + qp * positive
+
+
+def rectangle_sum_by_binomials(a, b, p):
+    """R(a, b) = sum_l C(p - 1, l) C(b, l) C(p - 1 - l + a, a), each term
+    from its three binomials."""
+    if a < 0 or b < 0:
+        return 0
+    return sum(comb(p - 1, l) * comb(b, l) * comb(p - 1 - l + a, a) for l in range(min(b, p - 1) + 1))
