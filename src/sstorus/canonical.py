@@ -29,7 +29,7 @@ from typing import Iterator, Optional
 from .torus import ExponentVector, TorusSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalLabel:
     """A canonical label with its defect and, for defect > 0, the split
     indices (e, f) of the canonical shape."""
@@ -40,7 +40,7 @@ class CanonicalLabel:
     f: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquivClass:
     canonical: CanonicalLabel
     members: tuple

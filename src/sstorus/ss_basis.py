@@ -34,7 +34,7 @@ from .canonical import (
     is_ordinary,
     is_special,
 )
-from .idempotents import evaluate_point, idempotent_h
+from .idempotents import _digits, evaluate_point, idempotent_h
 from .supersymmetry import phi, symmetrize
 from .torus import (
     Basis,
@@ -66,25 +66,38 @@ def _sorted_positions(q: int, k: int) -> list:
     return [index[tuple(sorted(x))] for x in itertools.product(range(q), repeat=k)]
 
 
-def _label_class_ids(spec: TorusSpec, class_of) -> list:
-    """`class_of` of the canonical form of every label, in flat label order.
+def _class_labelling(spec: TorusSpec, canonical):
+    """The sorted flat indices `keys` of the `canonical` (a, b) pairs, and
+    the class labelling: for every label, in flat label order, the rank in
+    `keys` of its canonical form's flat index, or -1 if absent.  Both are
+    `array('q')`s, and the ranks follow lexicographic order.
 
-    The canonical form depends only on the sorted blocks: defect zero sorts
-    them, and the unmatched residues and the total are multiset functions.
-    So it is formed once per pair of sorted blocks, C(q + m - 1, m)
-    C(q + n - 1, n) times, and every label reads its id from that table.
+    The form depends only on the sorted blocks (defect zero sorts them; the
+    unmatched residues and the total are multiset functions), so it is formed
+    once per pair of sorted blocks, C(q + m - 1, m) C(q + n - 1, n) times,
+    into one table row per sorted a block over all b blocks in flat order.
     """
     m, n, p, q = spec.m, spec.n, spec.p, spec.q
+    weights = [q ** (m + n - 1 - s) for s in range(m + n)]
+    present = bytearray(spec.dimension)
+    for a, b in canonical:
+        present[sum(map(mul, a + b, weights))] = 1
+    keys = array("q", itertools.compress(range(len(present)), present))
+
+    def rank(form: tuple) -> int:
+        t = sum(map(mul, form[0] + form[1], weights)) if form else -1
+        return bisect_left(keys, t) if t >= 0 and present[t] else -1
+
     blocks = itertools.combinations_with_replacement
-    table = [
-        [class_of(_canonical_form(a, b, p, q)) for b in blocks(range(q), n)]
-        for a in blocks(range(q), m)
-    ]
     sb = _sorted_positions(q, n)
-    out = []
+    table = []
+    for a in blocks(range(q), m):
+        row = [rank(_canonical_form(a, b, p, q)) for b in blocks(range(q), n)]
+        table.append(array("q", map(row.__getitem__, sb)))
+    labelling = array("q")
     for i in _sorted_positions(q, m):
-        out.extend(map(table[i].__getitem__, sb))
-    return out
+        labelling += table[i]
+    return keys, labelling
 
 
 def _grouped(labelling, size: int):
@@ -127,16 +140,8 @@ def class_sums(spec: TorusSpec) -> Iterator[TorusElement]:
     """The class sum H of every canonical label, in `enumerate_canonical`
     order, with the classes read from one labelling instead of closed by
     search: the same elements as `build_H` over `enumerate_canonical`."""
-    k = spec.m + spec.n
-    weights = [spec.q ** (k - 1 - s) for s in range(k)]
-
-    def flat(a: tuple, b: tuple) -> int:
-        return sum(map(mul, a + b, weights))
-
-    # Lexicographic order is flat-index order, so a class id is the rank of
-    # its canonical label's flat index: one array entry per class, no dict.
-    keys = array("q", (flat(c.ev.a, c.ev.b) for c in enumerate_canonical(spec)))
-    labelling = _label_class_ids(spec, lambda form: bisect_left(keys, flat(form[0], form[1])))
+    pairs = ((c.ev.a, c.ev.b) for c in enumerate_canonical(spec))
+    keys, labelling = _class_labelling(spec, pairs)
     return _indicators(spec, labelling, len(keys))
 
 
@@ -222,7 +227,7 @@ def ss_nullspace_oracle(
     return out
 
 
-def _label_components(spec: TorusSpec) -> List[int]:
+def _label_components(spec: TorusSpec) -> array:
     """Labelling of the flat label indices by the least label, or root, of
     their component in the constraint graph of the supersymmetric subspace.
 
@@ -265,7 +270,7 @@ def _label_components(spec: TorusSpec) -> List[int]:
     # Roots link under smaller roots, so parent[t] <= t and one pass flattens.
     for t in range(len(parent)):
         parent[t] = parent[parent[t]]
-    return parent
+    return array("q", parent)
 
 
 def ss_component_oracle(spec: TorusSpec) -> List[TorusElement]:
@@ -373,15 +378,6 @@ class CountReport:
         }
 
 
-def _label_classes(spec: TorusSpec):
-    """The sorted `_canonical_shapes`, and the class labelling: for every label,
-    in label order, the position of its canonical form among them, or None if
-    absent."""
-    shapes = sorted(_canonical_shapes(spec))
-    index = {shape: i for i, shape in enumerate(shapes)}
-    return shapes, _label_class_ids(spec, index.get)
-
-
 def verify_basis(spec: TorusSpec) -> CountReport:
     """Check the basis claims for the class sums H of the canonical labels.
 
@@ -390,43 +386,47 @@ def verify_basis(spec: TorusSpec) -> CountReport:
     agree with the closed-form count; the classes partition the label set;
     and for m = n = 1 the listed generators span the same space.
 
-    A table over the pairs of sorted blocks gives every label the class of
-    its canonical form (`_label_class_ids`), and the component oracle, which
-    always runs, gives every label its root; both partitions are
-    labellings, flat lists indexed by flat label index, and are compared
-    label by label in O(N).  An H is supersymmetric exactly
-    when it is constant on every component, and the H span the oracle's
-    space exactly when the classes are the components.  Up to
-    `DENSE_ORACLE_MAX_N` labels the dense oracle and the rank and span
+    `_class_labelling` gives every label its class id, the rank of its
+    canonical form's flat index among the canonical labels', and the
+    component oracle, which always runs, gives every label its root: two
+    `array('q')` labellings, compared label by label in O(N).  An H is
+    supersymmetric exactly when it is constant on every component, and the
+    H span the oracle's space exactly when the classes are the components.
+    Up to `DENSE_ORACLE_MAX_N` labels the dense oracle and the rank and span
     computations run as well, and the two oracles must agree.
     """
     # The component oracle rejects n = 0 before any label is visited.
     root = _label_components(spec)
     failures = []
-    p, q, size = spec.p, spec.q, spec.dimension
-    shapes, label_class = _label_classes(spec)
+    m, n, p, q, size = spec.m, spec.n, spec.p, spec.q, spec.dimension
 
-    # Each canonical label is its own form, so it lies in its own class.
-    partition_ok = None not in label_class and all(
-        _canonical_form(*shape[:2], p, q) == shape for shape in shapes
-    )
-    if not partition_ok:
-        failures.append("classes do not partition the label set")
+    def own_forms():
+        # Each canonical label is its own form, so it lies in its own class.
+        nonlocal partition_ok
+        for shape in _canonical_shapes(spec):
+            partition_ok = partition_ok and _canonical_form(*shape[:2], p, q) == shape
+            yield shape[:2]
 
+    partition_ok = True
+    keys, label_class = _class_labelling(spec, own_forms())
+    seen = bytearray(len(keys) + 1)  # the last slot marks labels with no class
     mixed = set()
     for c, r in zip(label_class, root):
+        seen[c] = 1
         if c != label_class[r]:
             mixed |= {c, label_class[r]}
-    mixed.discard(None)
+    mixed.discard(-1)
+    partition_ok = partition_ok and not seen[-1]
+    if not partition_ok:
+        failures.append("classes do not partition the label set")
     for c in sorted(mixed):
-        ev = ExponentVector(*shapes[c][:2])
-        failures.append(f"class sum at {ev} is not supersymmetric")
+        t = _digits(keys[c], q, m + n)
+        failures.append(f"class sum at {ExponentVector(t[:m], t[m:])} is not supersymmetric")
 
     # The classes are the components: all labelled, none mixed, one per root.
-    ids = set(label_class)
-    independent = ids.issuperset(range(len(shapes)))
+    independent = 0 not in seen[:-1]
     dim = sum(t == r for t, r in enumerate(root))
-    span_ok = None not in ids and not mixed and independent and dim == len(shapes)
+    span_ok = not seen[-1] and not mixed and independent and dim == len(keys)
 
     oracles = ("component",)
     if size <= DENSE_ORACLE_MAX_N:
@@ -435,10 +435,10 @@ def verify_basis(spec: TorusSpec) -> CountReport:
         dense = ss_nullspace_oracle(spec)
         if dense != list(_indicators(spec, root, size)):
             failures.append("the dense and component oracles disagree")
-        h_vecs = [[int(c == i) for c in label_class] for i in range(len(shapes))]
+        h_vecs = [[int(c == i) for c in label_class] for i in range(len(keys))]
         dense_vecs = [[o.coefficient(ev) for ev in labels] for o in dense]
         independent = independent and fp_linalg.rank(h_vecs, p) == len(h_vecs)
-        span_ok = span_ok and len(dense) == len(shapes)
+        span_ok = span_ok and len(dense) == len(keys)
         span_ok = span_ok and fp_linalg.same_row_space(h_vecs, dense_vecs, p)
     if not independent:
         failures.append("class sums are linearly dependent")
@@ -446,7 +446,7 @@ def verify_basis(spec: TorusSpec) -> CountReport:
         failures.append("class-sum span differs from the oracle span")
 
     closed = dim_closed_form(spec)
-    enumerated = len(shapes)
+    enumerated = len(keys)
     if not closed == enumerated == count_canonical_total(spec):
         failures.append(f"count mismatch: closed form {closed}, enumerated {enumerated}")
     if dim != closed:
@@ -455,11 +455,11 @@ def verify_basis(spec: TorusSpec) -> CountReport:
     gl11_ok = None
     if spec.m == 1 and spec.n == 1:
         # The 0/1 supports are the components if each member's first support
-        # label is its root; a label in two supports gets -1, never a root.
-        gen_root = [None] * size
+        # label is its root; -1 (in no support) and -2 (in two) are no roots.
+        gen_root = array("q", [-1]) * size
         for s in _gl11_supports(p, q):
             for t in s:
-                gen_root[t] = s[0] if gen_root[t] is None else -1
+                gen_root[t] = s[0] if gen_root[t] == -1 else -2
         gl11_ok = gen_root == root
         if "dense" in oracles:
             gen_vecs = [[int(t in s) for t in range(size)] for s in _gl11_supports(p, q)]

@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+from array import array
 from math import comb
 
 import pytest
@@ -352,8 +354,12 @@ class TestClassSizes:
 
 
 # `basis` and `canonical` accept n = 0, though `verify` and the oracles do not.
+# (1,2,3,2) and (2,2,2,2) have n >= 2 and r >= 2, where a canonical b block
+# (0^(f-1), bf, tail) can have bf >= p above its tail, as in (3, 1); the class
+# table reads such a label's class at sorted blocks other than its own.
 LABELLING_SPECS = DEFAULT_GRID + [
-    (1, 1, 3, 2), (2, 2, 5, 1), (1, 1, 11, 1), (2, 0, 3, 1), (3, 0, 2, 2)
+    (1, 1, 3, 2), (2, 2, 5, 1), (1, 1, 11, 1), (2, 0, 3, 1), (3, 0, 2, 2),
+    (1, 2, 3, 2), (2, 2, 2, 2),
 ]
 
 
@@ -374,6 +380,13 @@ def bfs_classes(spec):
         sorted(index[ev] for ev in enumerate_equivalence_class(c, spec).members)
         for c in enumerate_canonical(spec)
     ]
+
+
+def shape_labelling(spec):
+    """`ss_basis._class_labelling` of the `_canonical_shapes`, as `verify`
+    builds it."""
+    shapes = (s[:2] for s in canonical._canonical_shapes(spec))
+    return ss_basis._class_labelling(spec, shapes)
 
 
 def per_label_classes(spec):
@@ -404,22 +417,40 @@ class TestLabelClasses:
     @pytest.mark.parametrize("t", LABELLING_SPECS)
     def test_table_labelling_equals_per_label_forms(self, t):
         spec = TorusSpec(*t)
-        shapes, label_class = ss_basis._label_classes(spec)
-        assert shapes == sorted(canonical._canonical_shapes(spec))
-        assert label_class == per_label_classes(spec)
+        keys, label_class = shape_labelling(spec)
+        assert isinstance(keys, array) and keys.typecode == "q"
+        assert isinstance(label_class, array) and label_class.typecode == "q"
+        shapes = sorted(canonical._canonical_shapes(spec))
+        index = {(ev.a, ev.b): t for t, ev in enumerate(spec.labels())}
+        assert list(keys) == [index[s[:2]] for s in shapes]
+        assert list(label_class) == [
+            -1 if c is None else c for c in per_label_classes(spec)
+        ]
+
+    @pytest.mark.parametrize("t", LABELLING_SPECS)
+    def test_decoded_class_ids_are_the_sorted_shapes(self, t):
+        spec = TorusSpec(*t)
+        keys, label_class = shape_labelling(spec)
+        shapes = sorted(canonical._canonical_shapes(spec))
+        labels = list(spec.labels())
+        oracle = per_label_classes(spec)
+        assert None not in oracle
+        for c, i in zip(oracle, label_class):
+            ev = labels[keys[i]]
+            assert (ev.a, ev.b) == shapes[c][:2]
 
     @pytest.mark.parametrize("t", LABELLING_SPECS)
     def test_grouped_buckets_partition_the_labels(self, t):
         spec = TorusSpec(*t)
-        shapes, label_class = ss_basis._label_classes(spec)
-        members, offsets = ss_basis._grouped(label_class, len(shapes))
+        keys, label_class = shape_labelling(spec)
+        members, offsets = ss_basis._grouped(label_class, len(keys))
         sizes = [hi - lo for lo, hi in zip(offsets, offsets[1:])]
         assert offsets[0] == 0 and all(sizes)
         assert sum(sizes) == len(members) == spec.dimension
         assert sorted(members) == list(range(spec.dimension))
         grouped = blocks(label_class)
         assert [list(members[lo:hi]) for lo, hi in zip(offsets, offsets[1:])] == [
-            grouped[c] for c in range(len(shapes))
+            grouped[c] for c in range(len(keys))
         ]
 
     @pytest.mark.parametrize("t", LABELLING_SPECS)
@@ -430,9 +461,9 @@ class TestLabelClasses:
     @pytest.mark.parametrize("t", LABELLING_SPECS)
     def test_classes_equal_bfs_classes(self, t):
         spec = TorusSpec(*t)
-        shapes, label_class = ss_basis._label_classes(spec)
+        keys, label_class = shape_labelling(spec)
         grouped = blocks(label_class)
-        classes = [grouped.get(i, []) for i in range(len(shapes))]
+        classes = [grouped.get(i, []) for i in range(len(keys))]
         bfs = bfs_classes(spec)
         assert classes == bfs
 
@@ -466,6 +497,21 @@ class TestLabelClasses:
         assert not hasattr(ss_basis, "is_supersymmetric")
         rep = verify_basis(spec)
         assert rep.passed, rep.failures
+
+    def test_verify_memory_per_label(self):
+        # At m = n = 1 nearly every label is its own class, so a shape tuple
+        # and a dict entry per class cost about 290 bytes per label; class ids
+        # as ranks in one array('q') of flat indices cost under 50.  The spec
+        # is small because tracemalloc slows verify about threefold.
+        spec = TorusSpec(1, 1, 53, 1)
+        tracemalloc.start()
+        try:
+            rep = verify_basis(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed, rep.failures
+        assert peak < 100 * spec.dimension
 
 
 class TestLabelComponents:
