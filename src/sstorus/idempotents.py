@@ -13,9 +13,10 @@ its evaluation at that integer point (C(x, k) evaluated at v is C(v, k)).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from functools import lru_cache
+from itertools import repeat
 from math import comb
+from operator import add, mul
 
 from .torus import (
     Basis,
@@ -23,7 +24,7 @@ from .torus import (
     TorusElement,
     TorusSpec,
     _element,
-    _ev,
+    _label_at,
     _require_basis,
     _require_same_spec,
 )
@@ -31,8 +32,11 @@ from .torus import (
 
 @lru_cache(maxsize=8)
 def _binomial_table(p: int, q: int):
-    """B[v][k] = C(v, k) mod p for 0 <= v, k < q."""
-    return tuple(tuple(comb(v, k) % p for k in range(q)) for v in range(q))
+    """B[v][k] = C(v, k) mod p for 0 <= v, k < q, by Pascal's rule, not Lucas."""
+    B = [(1,) + (0,) * (q - 1)]
+    for _ in range(1, q):
+        B.append((1,) + tuple([(x + y) % p for x, y in zip(B[-1], B[-1][1:])]))
+    return tuple(B)
 
 
 def _univariate_terms(p: int, q: int, a: int):
@@ -111,13 +115,6 @@ def _digit_tables(p: int):
     return tuple(map(tuple, B)), tuple(map(tuple, B_inv))
 
 
-@lru_cache(maxsize=1 << 12)
-def _digits(x: int, q: int, k: int) -> tuple:
-    """The k base-q digits of x, most significant first.  Cached, so the
-    labels of one element share their block tuples."""
-    return _digits(x // q, q, k - 1) + (x % q,) if k else ()
-
-
 def _change_basis(f: TorusElement, table: tuple, basis: Basis) -> TorusElement:
     """Multiply the coefficients of f by the Kronecker power of the p x p
     `table` over all (m+n) r base-p digits of the labels (Yates's algorithm).
@@ -126,31 +123,35 @@ def _change_basis(f: TorusElement, table: tuple, basis: Basis) -> TorusElement:
     base-p digits are those of its entries because q = p^r.  By Lucas's
     theorem C(v, k) mod p is the product of its digit binomials, so the
     mod-p Pascal matrix on [0, q)^(m+n), and its inverse, factor into one
-    pass per digit, each costing at most p per nonzero coefficient.
+    pass per digit.  A pass maps the dense list of all N coefficients
+    through `table` on the lowest digit and puts the new digit on top (a
+    perfect shuffle), so the digits end in place.  It costs O(N), (p+1)/2
+    terms per entry on average, whatever the support: a sparse f on a
+    large grid pays for the whole grid.  Memory is O(N).
     """
     spec = f.spec
-    p, q, m, n = spec.p, spec.q, spec.m, spec.n
-    cur = {}
+    p, q = spec.p, spec.q
+    vec = [0] * spec.dimension
     for ev, c in f.terms.items():
         idx = 0
         for v in ev.a + ev.b:
             idx = idx * q + v
-        cur[idx] = c
-    for t in range((m + n) * spec.r):
-        s, cols = p**t, {}
-        acc: dict = defaultdict(int)
-        for idx, c in cur.items():
-            d = idx // s % p
-            if d not in cols:  # column d as (index offset, entry) over nonzero rows
-                cols[d] = [((e - d) * s, row[d]) for e, row in enumerate(table) if row[d]]
-            for off, x in cols[d]:
-                acc[idx + off] += c * x
-        cur = {idx: r for idx, c in acc.items() if (r := c % p)}
-    terms = []  # in label order, as spec.labels() yields them
-    for idx, c in sorted(cur.items()):
-        hi, lo = divmod(idx, q**n)  # idx < q^(m+n), so every digit is in range
-        terms.append((_ev(_digits(hi, q, m), _digits(lo, q, n)), c))
-    return _element(spec, basis, terms)
+        vec[idx] = c
+    rows = [[(d, w) for d, w in enumerate(row) if w] for row in table]
+    grow, bound = max(map(sum, table)), p - 1  # bound >= every entry of vec
+    for _ in range((spec.m + spec.n) * spec.r):
+        if bound >= p and bound * grow > 256:  # keep entries in CPython's cached ints
+            vec, bound = [x % p for x in vec], p - 1
+        bound *= grow
+        cols = [vec[d::p] for d in range(p)]  # cols[d][t]: lowest digit d, the rest t
+        vec = []
+        for (d, w), *rest in rows:  # output digit e, in order, becomes the top
+            acc = cols[d] if w == 1 else [w * x for x in cols[d]]
+            for d, w in rest:
+                acc = list(map(add, acc, cols[d] if w == 1 else map(mul, cols[d], repeat(w))))
+            vec += acc
+    label = _label_at(spec)  # in flat-index order, as spec.labels() yields them
+    return _element(spec, basis, [(label(t), c) for t, c in enumerate(vec) if c % p])
 
 
 def to_idempotent_basis(f: TorusElement) -> TorusElement:

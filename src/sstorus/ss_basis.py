@@ -34,7 +34,7 @@ from .canonical import (
     is_ordinary,
     is_special,
 )
-from .idempotents import _digits, evaluate_point, idempotent_h
+from .idempotents import evaluate_point, idempotent_h
 from .supersymmetry import phi, symmetrize
 from .torus import (
     Basis,
@@ -43,7 +43,7 @@ from .torus import (
     TorusElement,
     TorusSpec,
     _element,
-    _ev,
+    _label_at,
 )
 
 # Above this many labels `ss_nullspace_oracle` refuses to build its dense
@@ -122,18 +122,11 @@ def _indicators(spec: TorusSpec, labelling, size: int) -> Iterator[TorusElement]
     order, the element with coefficient 1 at the labels of that entry."""
     members, offsets = _grouped(labelling, size)
     del labelling  # freed while the elements stream, if no caller holds it
-    rng = range(spec.q)
-    blocks_a = list(itertools.product(rng, repeat=spec.m))
-    blocks_b = list(itertools.product(rng, repeat=spec.n))
-    width = len(blocks_b)
+    label = _label_at(spec)
     for c in range(size):
         lo, hi = offsets[c], offsets[c + 1]
         if lo < hi:
-            yield _element(
-                spec,
-                Basis.IDEMPOTENT,
-                [(_ev(blocks_a[t // width], blocks_b[t % width]), 1) for t in members[lo:hi]],
-            )
+            yield _element(spec, Basis.IDEMPOTENT, [(label(t), 1) for t in members[lo:hi]])
 
 
 def class_sums(spec: TorusSpec) -> Iterator[TorusElement]:
@@ -398,7 +391,7 @@ def verify_basis(spec: TorusSpec) -> CountReport:
     # The component oracle rejects n = 0 before any label is visited.
     root = _label_components(spec)
     failures = []
-    m, n, p, q, size = spec.m, spec.n, spec.p, spec.q, spec.dimension
+    p, q, size = spec.p, spec.q, spec.dimension
 
     def own_forms():
         # Each canonical label is its own form, so it lies in its own class.
@@ -419,9 +412,8 @@ def verify_basis(spec: TorusSpec) -> CountReport:
     partition_ok = partition_ok and not seen[-1]
     if not partition_ok:
         failures.append("classes do not partition the label set")
-    for c in sorted(mixed):
-        t = _digits(keys[c], q, m + n)
-        failures.append(f"class sum at {ExponentVector(t[:m], t[m:])} is not supersymmetric")
+    label = _label_at(spec)
+    failures += [f"class sum at {label(keys[c])} is not supersymmetric" for c in sorted(mixed)]
 
     # The classes are the components: all labelled, none mixed, one per root.
     independent = 0 not in seen[:-1]

@@ -168,6 +168,13 @@ def _ev(a: tuple, b: tuple) -> ExponentVector:
     return ev
 
 
+def _label_at(spec: TorusSpec):
+    """The map from a flat index t to the t-th label of `spec.labels()`."""
+    rng, width = range(spec.q), spec.q**spec.n
+    blocks_a, blocks_b = (list(itertools.product(rng, repeat=k)) for k in (spec.m, spec.n))
+    return lambda t: _ev(blocks_a[t // width], blocks_b[t % width])
+
+
 class TorusElement:
     """A sparse element: finite map from labels to nonzero residues mod p.
 

@@ -1,10 +1,13 @@
 import random
 from functools import reduce
+from math import comb
+from pathlib import Path
 
 import pytest
 
 from sstorus.cli import DEFAULT_GRID
 from sstorus.idempotents import (
+    _binomial_table,
     _digit_tables,
     evaluate_point,
     from_idempotent_basis,
@@ -20,6 +23,8 @@ from sstorus.torus import (
     TorusElement,
     TorusSpec,
     add,
+    element_from_json,
+    element_to_json,
     multiply,
     multiply_by_coordinate,
     multiply_by_linear,
@@ -29,6 +34,9 @@ from sstorus.torus import (
 )
 from sstorus.modp import binom_mod_p
 from util import from_idempotent_by_h, random_element
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def monomial(spec, a, b, c=1):
@@ -206,11 +214,14 @@ ORACLE_SPECS = DEFAULT_GRID + [(1, 1, 2, 3), (1, 1, 3, 2), (2, 0, 3, 1), (2, 1, 
 
 
 def oracle_inputs(spec, basis, seed):
-    """Ten random sparse elements and one dense one with N/8 terms."""
+    """Ten random sparse elements, one dense one with N/8 terms, one with all
+    N labels and the zero element."""
     rng = random.Random(seed)
     out = [random_element(spec, rng, max_terms=5, basis=basis) for _ in range(10)]
-    support = rng.sample(list(spec.labels()), max(1, spec.dimension // 8))
-    out.append(TorusElement(spec, basis, {ev: rng.randrange(1, spec.p) for ev in support}))
+    labels = list(spec.labels())
+    for support in (rng.sample(labels, max(1, spec.dimension // 8)), labels):
+        out.append(TorusElement(spec, basis, {ev: rng.randrange(1, spec.p) for ev in support}))
+    out.append(zero(spec, basis))
     return out
 
 
@@ -238,6 +249,35 @@ class TestAgainstOracles:
             assert from_idempotent_basis(to_idempotent_basis(f)) == f
         for g in oracle_inputs(spec, Basis.IDEMPOTENT, 24):
             assert to_idempotent_basis(from_idempotent_basis(g)) == g
+
+    def test_terms_in_label_order(self, t):
+        spec = TorusSpec(*t)
+        rank = {ev: i for i, ev in enumerate(spec.labels())}
+        for f in oracle_inputs(spec, Basis.BINOMIAL, 25):
+            order = [rank[ev] for ev in to_idempotent_basis(f).terms]
+            assert order == sorted(order), t
+
+
+class TestGoldens:
+    # dense inputs with all 729 labels at (2,1,3,2), written next to the
+    # outputs; the transforms must reproduce the outputs byte for byte
+    @pytest.mark.parametrize(
+        "name, change", [("to_idem", to_idempotent_basis), ("from_idem", from_idempotent_basis)]
+    )
+    def test_change_of_basis_matches_golden(self, name, change):
+        f = element_from_json((DATA / f"{name}_2_1_3_2_in.json").read_text())
+        assert len(f.terms) == f.spec.dimension
+        out = element_to_json(change(f)) + "\n"
+        assert out == (DATA / f"{name}_2_1_3_2.json").read_text()
+
+
+class TestBinomialTable:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_pascal_rule_matches_comb(self, p):
+        for q in range(1, 65):
+            B = _binomial_table(p, q)
+            assert type(B) is tuple and all(type(row) is tuple for row in B)
+            assert B == tuple(tuple(comb(v, k) % p for k in range(q)) for v in range(q)), q
 
 
 class TestDigitTables:
