@@ -125,9 +125,9 @@ def _change_basis(f: TorusElement, table: tuple, basis: Basis) -> TorusElement:
     mod-p Pascal matrix on [0, q)^(m+n), and its inverse, factor into one
     pass per digit.  A pass maps the dense list of all N coefficients
     through `table` on the lowest digit and puts the new digit on top (a
-    perfect shuffle), so the digits end in place.  It costs O(N), (p+1)/2
-    terms per entry on average, whatever the support: a sparse f on a
-    large grid pays for the whole grid.  Memory is O(N).
+    perfect shuffle), so the digits end in place.  A pass skips the slices
+    that are all zero and costs O(N) per live one; with every slice live, as
+    a sparse f at small p soon has, it is (p+1)/2 terms per entry.  Memory O(N).
     """
     spec = f.spec
     p, q = spec.p, spec.q
@@ -138,20 +138,20 @@ def _change_basis(f: TorusElement, table: tuple, basis: Basis) -> TorusElement:
             idx = idx * q + v
         vec[idx] = c
     rows = [[(d, w) for d, w in enumerate(row) if w] for row in table]
-    grow, bound = max(map(sum, table)), p - 1  # bound >= every entry of vec
+    zero = [0] * (spec.dimension // p)
     for _ in range((spec.m + spec.n) * spec.r):
-        if bound >= p and bound * grow > 256:  # keep entries in CPython's cached ints
-            vec, bound = [x % p for x in vec], p - 1
-        bound *= grow
-        cols = [vec[d::p] for d in range(p)]  # cols[d][t]: lowest digit d, the rest t
+        # cols[d][t]: lowest digit d, the rest t; None if all zero, and skipped
+        cols = [c if any(c) else None for c in (vec[d::p] for d in range(p))]
         vec = []
-        for (d, w), *rest in rows:  # output digit e, in order, becomes the top
-            acc = cols[d] if w == 1 else [w * x for x in cols[d]]
-            for d, w in rest:
-                acc = list(map(add, acc, cols[d] if w == 1 else map(mul, cols[d], repeat(w))))
-            vec += acc
+        for row in rows:  # output digit e, in order, becomes the top
+            acc = zero
+            for d, w in row:
+                if cols[d]:
+                    prod = cols[d] if w == 1 else map(mul, cols[d], repeat(w))
+                    acc = prod if acc is zero else list(map(add, acc, prod))
+            vec += [x % p for x in acc]
     label = _label_at(spec)  # in flat-index order, as spec.labels() yields them
-    return _element(spec, basis, [(label(t), c) for t, c in enumerate(vec) if c % p])
+    return _element(spec, basis, [(label(t), c) for t, c in enumerate(vec) if c])
 
 
 def to_idempotent_basis(f: TorusElement) -> TorusElement:

@@ -653,6 +653,23 @@ def test_check_ss_large_q_is_fast(tmp_path):
     assert json.loads(proc.stdout) == {"supersymmetric": False}
 
 
+@pytest.mark.parametrize(
+    "term, code",
+    [({"a": [0], "b": [0], "c": 1}, 0), ({"a": [165], "b": [77], "c": 3}, 1)],
+    ids=["constant", "monomial"],
+)
+def test_check_ss_large_p_is_fast(tmp_path, term, code):
+    """`--check-ss` of a one-term binomial input at p = 499 (N = 249,001
+    labels) is decided in seconds, in a child limited to 2 GB: a digit pass
+    of the change of basis skips the all-zero slices, so one term costs
+    O(N) per pass, not O(N p)."""
+    path = tmp_path / "monomial.json"
+    path.write_text(element_json(p=499, terms=[term]))
+    proc = run_gated(["verify", "--check-ss", str(path)])
+    assert proc.returncode == code, proc.stderr
+    assert json.loads(proc.stdout) == {"supersymmetric": code == 0}
+
+
 class TestDeterminism:
     def test_identical_invocations_byte_identical(self, capsys):
         argvs = [
