@@ -24,6 +24,7 @@ from .torus import (
     TorusElement,
     TorusSpec,
     _element,
+    _flat,
     _label_at,
     _require_basis,
     _require_same_spec,
@@ -133,10 +134,7 @@ def _change_basis(f: TorusElement, table: tuple, basis: Basis) -> TorusElement:
     p, q = spec.p, spec.q
     vec = [0] * spec.dimension
     for ev, c in f.terms.items():
-        idx = 0
-        for v in ev.a + ev.b:
-            idx = idx * q + v
-        vec[idx] = c
+        vec[_flat(ev, q)] = c
     rows = [[(d, w) for d, w in enumerate(row) if w] for row in table]
     zero = [0] * (spec.dimension // p)
     for _ in range((spec.m + spec.n) * spec.r):

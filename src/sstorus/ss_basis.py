@@ -18,7 +18,6 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import comb
-from operator import mul
 from typing import Iterator, List, Optional
 
 from . import fp_linalg
@@ -43,6 +42,7 @@ from .torus import (
     TorusElement,
     TorusSpec,
     _element,
+    _flat,
     _label_at,
 )
 
@@ -78,14 +78,13 @@ def _class_labelling(spec: TorusSpec, canonical):
     into one table row per sorted a block over all b blocks in flat order.
     """
     m, n, p, q = spec.m, spec.n, spec.p, spec.q
-    weights = [q ** (m + n - 1 - s) for s in range(m + n)]
     present = bytearray(spec.dimension)
-    for a, b in canonical:
-        present[sum(map(mul, a + b, weights))] = 1
+    for pair in canonical:
+        present[_flat(pair, q)] = 1
     keys = array("q", itertools.compress(range(len(present)), present))
 
     def rank(form: tuple) -> int:
-        t = sum(map(mul, form[0] + form[1], weights)) if form else -1
+        t = _flat(form, q) if form else -1
         return bisect_left(keys, t) if t >= 0 and present[t] else -1
 
     blocks = itertools.combinations_with_replacement
@@ -133,8 +132,7 @@ def class_sums(spec: TorusSpec) -> Iterator[TorusElement]:
     """The class sum H of every canonical label, in `enumerate_canonical`
     order, with the classes read from one labelling instead of closed by
     search: the same elements as `build_H` over `enumerate_canonical`."""
-    pairs = ((c.ev.a, c.ev.b) for c in enumerate_canonical(spec))
-    keys, labelling = _class_labelling(spec, pairs)
+    keys, labelling = _class_labelling(spec, (c.ev for c in enumerate_canonical(spec)))
     return _indicators(spec, labelling, len(keys))
 
 
@@ -392,16 +390,9 @@ def verify_basis(spec: TorusSpec) -> CountReport:
     root = _label_components(spec)
     failures = []
     p, q, size = spec.p, spec.q, spec.dimension
-
-    def own_forms():
-        # Each canonical label is its own form, so it lies in its own class.
-        nonlocal partition_ok
-        for shape in _canonical_shapes(spec):
-            partition_ok = partition_ok and _canonical_form(*shape[:2], p, q) == shape
-            yield shape[:2]
-
-    partition_ok = True
-    keys, label_class = _class_labelling(spec, own_forms())
+    keys, label_class = _class_labelling(spec, (s[:2] for s in _canonical_shapes(spec)))
+    # Each canonical label is its own form, so it lies in its own class.
+    partition_ok = all(label_class[t] == c for c, t in enumerate(keys))
     seen = bytearray(len(keys) + 1)  # the last slot marks labels with no class
     mixed = set()
     for c, r in zip(label_class, root):

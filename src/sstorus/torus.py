@@ -26,6 +26,7 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
+from operator import itemgetter
 from typing import Iterator
 
 from .modp import _require_prime
@@ -59,33 +60,34 @@ class Basis(enum.Enum):
     IDEMPOTENT = "idempotent"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class ExponentVector:
-    """A label (a_1..a_m | b_1..b_n); compares lexicographically."""
+class ExponentVector(tuple):
+    """A label (a_1..a_m | b_1..b_n): the pair (a, b) of int tuples, so it
+    hashes, compares and orders lexicographically as that pair does."""
 
-    a: tuple
-    b: tuple
+    __slots__ = ()
+    a, b = property(itemgetter(0)), property(itemgetter(1))
+
+    def __new__(cls, a, b):
+        ev = tuple.__new__(cls, (tuple(a), tuple(b)))
+        ev.__post_init__()
+        return ev
 
     def __post_init__(self):
-        a, b = self.a, self.b
-        if type(a) is not tuple:
-            a = tuple(a)
-            object.__setattr__(self, "a", a)
-        if type(b) is not tuple:
-            b = tuple(b)
-            object.__setattr__(self, "b", b)
-        for v in a + b:
+        for v in self[0] + self[1]:
             if type(v) is not int:
                 raise ValueError(f"label entries must be integers, got {v!r}")
 
+    def __getnewargs__(self):
+        return tuple(self)
+
     def total(self) -> int:
-        return sum(self.a) + sum(self.b)
+        return sum(self[0]) + sum(self[1])
+
+    def __repr__(self):
+        return "ExponentVector(a=%r, b=%r)" % self
 
     def __str__(self):
-        return "(%s|%s)" % (
-            ",".join(map(str, self.a)),
-            ",".join(map(str, self.b)),
-        )
+        return "(%s|%s)" % (",".join(map(str, self[0])), ",".join(map(str, self[1])))
 
 
 @dataclass(frozen=True)
@@ -156,23 +158,43 @@ class TorusSpec:
                 raise ValueError(f"label {ev} has an exponent outside [0, {q})")
 
 
-_new, _set = object.__new__, object.__setattr__
+_new, _pair = object.__new__, tuple.__new__
 
 
 def _ev(a: tuple, b: tuple) -> ExponentVector:
     """An `ExponentVector` from two tuples of ints, without the public
     constructor's checks: for labels built from checked ones."""
-    ev = _new(ExponentVector)
-    _set(ev, "a", a)
-    _set(ev, "b", b)
-    return ev
+    return _pair(ExponentVector, (a, b))
 
 
-def _label_at(spec: TorusSpec):
-    """The map from a flat index t to the t-th label of `spec.labels()`."""
-    rng, width = range(spec.q), spec.q**spec.n
-    blocks_a, blocks_b = (list(itertools.product(rng, repeat=k)) for k in (spec.m, spec.n))
-    return lambda t: _ev(blocks_a[t // width], blocks_b[t % width])
+def _label_at(spec: TorusSpec, support=None):
+    """The map from a flat index t to the t-th label of `spec.labels()`, read
+    from tables of all q^m and q^n blocks, or of the blocks of the indices in
+    `support` alone when they are fewer: a sparse result costs its size."""
+    q, m, n = spec.q, spec.m, spec.n
+    width = q**n
+    if support is None or q**m + width <= len(support):
+        blocks_a, blocks_b = (list(itertools.product(range(q), repeat=k)) for k in (m, n))
+    else:
+        blocks_a = _blocks({t // width for t in support}, q, m)
+        blocks_b = _blocks({t % width for t in support}, q, n)
+    return lambda t: _pair(ExponentVector, (blocks_a[t // width], blocks_b[t % width]))
+
+
+def _blocks(us, q: int, k: int) -> dict:
+    """The map from each u in `us` to its k base-q digits, as a tuple."""
+    us = list(us)
+    digits = [[u // q**s % q for u in us] for s in range(k - 1, -1, -1)]
+    return dict(zip(us, zip(*digits) if k else itertools.repeat(())))
+
+
+def _flat(label, q: int) -> int:
+    """The flat index of a label, or of any (a, b) pair, as `_label_at` reads
+    it: the integer whose base-q digits are a + b."""
+    t = 0
+    for v in label[0] + label[1]:
+        t = t * q + v
+    return t
 
 
 class TorusElement:
@@ -213,8 +235,8 @@ class TorusElement:
         return not self.terms
 
     def sorted_terms(self):
-        # The order of `ExponentVector`, compared as C-level tuples.
-        return sorted(self.terms.items(), key=_label_key)
+        # Labels are distinct, so the pairs sort by label alone.
+        return sorted(self.terms.items())
 
     def __eq__(self, other):
         if not isinstance(other, TorusElement):
@@ -263,11 +285,6 @@ class TorusElement:
         )
 
 
-def _label_key(term) -> tuple:
-    ev = term[0]
-    return ev.a, ev.b
-
-
 def _element(spec: TorusSpec, basis: Basis, terms) -> TorusElement:
     """A `TorusElement` from (label, int) pairs whose labels are in range by
     construction: reduces mod p and drops zeros, and checks nothing."""
@@ -314,51 +331,45 @@ def scale(c, f: TorusElement) -> TorusElement:
     return _element(f.spec, f.basis, [(ev, c * cc) for ev, cc in f.terms.items()])
 
 
-def _coordinate_table(k1: int, k2: int, p: int, q: int):
-    """Expansion of C(x, k1) C(x, k2) truncated below q, as ((exp, coeff), ...)."""
-    out = []
-    for i in range(min(k1, k2) + 1):
-        e = k1 + k2 - i
-        if e >= q:
-            continue
-        c = comb(e, k1 - i) * comb(k2, k2 - i) % p
-        if c:
-            out.append((e, c))
-    return tuple(out)
-
-
-# Five times the 3,240 monomial pairs of the benchmark's algebra-ops products.
+# 2^14 entries, each one pair of monomials and at most
+# prod_s (min(k1_s, k2_s) + 1) product terms.
 @lru_cache(maxsize=1 << 14)
-def _monomial_product(key1: tuple, key2: tuple, p: int, q: int):
-    """Coordinatewise product of two monomials given by flat exponent keys."""
-    partial = [((), 1)]
-    for k1, k2 in zip(key1, key2):
-        tab = _coordinate_table(k1, k2, p, q)
-        partial = [
-            (ex + (e,), c * ce % p) for ex, c in partial for e, ce in tab
+def _monomial_product(t1: int, t2: int, p: int, q: int, k: int):
+    """Product of the monomials at flat indices t1 and t2 of labels with k
+    entries, as ((flat index, coeff), ...): per coordinate, the module
+    docstring's expansion of C(x, k1) C(x, k2), less exponents of q or more
+    and zero coefficients, so their products are nonzero mod the prime p."""
+    partial = [(0, 1)]
+    for w in [q**s for s in range(k - 1, -1, -1)]:
+        k1, k2 = t1 // w % q, t2 // w % q
+        tab = [
+            (e, c)
+            for i in range(min(k1, k2) + 1)
+            if (e := k1 + k2 - i) < q and (c := comb(e, k1 - i) * comb(k2, i) % p)
         ]
-    return tuple((ex, c) for ex, c in partial if c)
+        partial = [(t * q + e, c * ce % p) for t, c in partial for e, ce in tab]
+    return tuple(partial)
 
 
 def multiply(f: TorusElement, g: TorusElement) -> TorusElement:
-    """Product of two binomial-basis elements (commutative, associative)."""
+    """Product of two binomial-basis elements (commutative, associative),
+    accumulated on flat label indices."""
     _require_same_spec(f, g)
     _require_basis(f, Basis.BINOMIAL)
     _require_basis(g, Basis.BINOMIAL)
     spec = f.spec
-    p, q, m = spec.p, spec.q, spec.m
-    gterms = [(ev.a + ev.b, c) for ev, c in g.terms.items()]
+    p, q, k = spec.p, spec.q, spec.m + spec.n
+    gterms = [(_flat(ev, q), c) for ev, c in g.terms.items()]
     acc: dict = {}
     for ev1, c1 in f.terms.items():
-        key1 = ev1.a + ev1.b
-        for key2, c2 in gterms:
+        t1 = _flat(ev1, q)
+        for t2, c2 in gterms:
             c12 = c1 * c2
-            for ex, c in _monomial_product(key1, key2, p, q):
-                acc[ex] = acc.get(ex, 0) + c12 * c
-    # _coordinate_table keeps exponents below q.
-    return _element(
-        spec, Basis.BINOMIAL, [(_ev(ex[:m], ex[m:]), c) for ex, c in acc.items() if c % p]
-    )
+            for t, c in _monomial_product(t1, t2, p, q, k):
+                acc[t] = acc.get(t, 0) + c12 * c
+    # Exponents stay below q, so every t is a label's.
+    label = _label_at(spec, acc)
+    return _element(spec, Basis.BINOMIAL, [(label(t), c) for t, c in acc.items() if c % p])
 
 
 def multiply_by_coordinate(f: TorusElement, block: str, index: int) -> TorusElement:

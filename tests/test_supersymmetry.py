@@ -1,5 +1,6 @@
 import random
 from functools import reduce
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,8 @@ from sstorus.torus import (
     TorusElement,
     TorusSpec,
     add,
+    element_from_json,
+    element_to_json,
     multiply,
     multiply_by_linear,
     one,
@@ -32,6 +35,7 @@ from sstorus.torus import (
 )
 from util import random_element, random_label
 
+DATA = Path(__file__).parent / "data"
 
 def monomial(spec, a, b, c=1):
     return TorusElement(spec, Basis.BINOMIAL, {ExponentVector(a, b): c})
@@ -123,6 +127,13 @@ class TestPhi:
                         ph = phi(idempotent_h(spec, ev), i, j)
                         lhs = scale(ev.a[i - 1] + ev.b[j - 1], ph)
                         assert lhs == multiply_by_linear(ph, i, j)
+
+    def test_matches_golden(self):
+        # a seeded 182-term binomial input at (2,1,3,2), written next to
+        # phi(f, 1, 1); the output must be reproduced byte for byte
+        f = element_from_json((DATA / "phi_2_1_3_2_in.json").read_text())
+        assert (f.spec.m, f.spec.n, f.spec.p, f.spec.r, len(f.terms)) == (2, 1, 3, 2, 182)
+        assert element_to_json(phi(f, 1, 1)) + "\n" == (DATA / "phi_2_1_3_2.json").read_text()
 
 
 class TestDivisibility:

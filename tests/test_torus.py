@@ -1,5 +1,8 @@
+import copy
 import json
+import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -27,6 +30,8 @@ from sstorus.torus import (
     zero,
     _element,
     _ev,
+    _label_at,
+    _monomial_product,
 )
 from sstorus.idempotents import (
     from_idempotent_basis,
@@ -278,6 +283,69 @@ class TestMultiply:
                         # dropped summand must be invisible mod p
                         assert c % p == 0, (u, v, key, c)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [TorusSpec(1, 0, 7, 1), TorusSpec(2, 0, 3, 1), TorusSpec(1, 1, 2, 3), TorusSpec(2, 1, 2, 3), TorusSpec(2, 2, 2, 2)],
+        ids=repr,
+    )
+    def test_flat_index_product_against_naive(self, spec):
+        rng = random.Random(spec.dimension + spec.q)
+        for k in (1, 3, 8):
+            for _ in range(4):
+                f = random_element(spec, rng, max_terms=k)
+                g = random_element(spec, rng, max_terms=k)
+                assert multiply(f, g).terms == naive_multiply_terms(f, g)
+
+    def test_sparse_product_at_large_q(self):
+        # Entries near 0 or near q - 1, paired so that no coordinate meets two
+        # middle entries: the untruncated oracle stays small.
+        spec = TorusSpec(1, 1, 997, 1)
+        rng = random.Random(997)
+
+        def entry(tops: bool) -> int:
+            e = rng.randrange(20)
+            return spec.q - 1 - e if tops and rng.random() < 0.5 else e
+
+        for _ in range(3):
+            f = TorusElement(spec, Basis.BINOMIAL, {ExponentVector((entry(False),), (entry(True),)): 1 + rng.randrange(996) for _ in range(5)})
+            g = TorusElement(spec, Basis.BINOMIAL, {ExponentVector((entry(True),), (entry(False),)): 1 + rng.randrange(996) for _ in range(5)})
+            fg = multiply(f, g)
+            assert fg.terms == naive_multiply_terms(f, g)
+            assert fg == multiply(g, f)
+            assert_like_public(fg)
+
+    def test_product_cache_keyed_by_label_length(self):
+        # The same flat indices name different labels in specs with equal
+        # (p, q) and different m + n, with the same p and another q, and with
+        # another p; the cached products must match the oracle whichever spec
+        # filled them.  By Lucas's theorem a product on flat indices depends on
+        # p alone, so only a key that fixes neither p nor q would go wrong.
+        specs = [TorusSpec(1, 0, 3, 1), TorusSpec(1, 1, 3, 1), TorusSpec(2, 1, 3, 1), TorusSpec(1, 2, 3, 1)]
+        specs += [TorusSpec(1, 1, 3, 2), TorusSpec(2, 0, 3, 2), TorusSpec(1, 1, 2, 2), TorusSpec(1, 1, 5, 1)]
+        _monomial_product.cache_clear()
+        for _ in range(2):
+            for t1 in range(9):
+                for t2 in range(9):
+                    for spec in specs:
+                        if max(t1, t2) < spec.dimension:
+                            label = _label_at(spec)
+                            f, g = (TorusElement(spec, Basis.BINOMIAL, {label(t): 1}) for t in (t1, t2))
+                            assert multiply(f, g).terms == naive_multiply_terms(f, g), (spec, t1, t2)
+        assert _monomial_product.cache_info().hits > 0
+
+    def test_sparse_product_decodes_only_its_labels(self):
+        # Tables of all q^m blocks would hold 50,653 tuples here, about 5 MB.
+        spec = TorusSpec(3, 0, 37, 1)
+        f, g = monomial(spec, (1, 30, 2), ()), monomial(spec, (3, 4, 0), ())
+        tracemalloc.start()
+        try:
+            fg = multiply(f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fg.terms == naive_multiply_terms(f, g) and len(fg.terms) == 2 * 5 * 1
+        assert peak < 200_000
+
 
 class TestCoordinateMultiplication:
     def test_recurrence_example(self):
@@ -451,7 +519,8 @@ class TestJson:
 
 
 class TestExponentVectorSlots:
-    """`ExponentVector` is a frozen, ordered dataclass with slots."""
+    """`ExponentVector` is the immutable pair (a, b): a tuple subclass with
+    empty slots, so it hashes, compares and orders as that pair."""
 
     def test_repr_and_str(self):
         ev = ExponentVector((1, 12), (0,))
@@ -477,12 +546,52 @@ class TestExponentVectorSlots:
         for name in ("a", "b"):
             with pytest.raises(AttributeError):
                 setattr(ev, name, (2,))
-        # A name that is no field is refused too; CPython 3.10 and 3.11 raise
-        # TypeError there for a frozen dataclass with slots.
-        with pytest.raises((AttributeError, TypeError)):
+        # A name that is no field is refused too: the slots are empty.
+        with pytest.raises(AttributeError):
             ev.c = (2,)
         assert not hasattr(ev, "__dict__") and not hasattr(ev, "c")
         assert (ev.a, ev.b) == ((1,), (0,))
+
+    def test_hash_equality_and_order_are_the_pairs(self):
+        rng = random.Random(17)
+        for spec in (TorusSpec(2, 1, 3, 1), TorusSpec(1, 0, 5, 1), TorusSpec(2, 2, 2, 2)):
+            labels = [random_label(spec, rng) for _ in range(60)]
+            pairs = [(ev.a, ev.b) for ev in labels]
+            for ev, pair in zip(labels, pairs):
+                assert hash(ev) == hash(pair) and ev == pair and tuple(ev) == pair
+            for (u, pu), (v, pv) in zip(zip(labels, pairs), zip(labels[1:], pairs[1:])):
+                assert (u < v, u <= v, u == v, u != v) == (pu < pv, pu <= pv, pu == pv, pu != pv)
+            assert sorted(labels) == sorted(pairs)
+            assert [hash(ev) for ev in set(labels)] == [hash(pr) for pr in set(pairs)]
+
+    def test_pickle_and_copy_round_trip(self):
+        for ev in (ExponentVector((1, 12), (0,)), ExponentVector((3,), ()), _ev((0, 2), (4, 1))):
+            copies = [copy.copy(ev), copy.deepcopy(ev)]
+            copies += [pickle.loads(pickle.dumps(ev, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for other in copies:
+                assert type(other) is ExponentVector
+                assert other == ev and hash(other) == hash(ev)
+                assert (other.a, other.b) == (ev.a, ev.b) and repr(other) == repr(ev)
+
+    def test_post_init_runs_once_per_public_label(self, monkeypatch):
+        # Counted the way perfbench/tracer.py counts label constructions.
+        calls = []
+        post_init = ExponentVector.__post_init__
+
+        def counted(ev):
+            calls.append(ev)
+            post_init(ev)
+
+        monkeypatch.setattr(ExponentVector, "__post_init__", counted)
+        spec = TorusSpec(2, 1, 3, 1)
+        built = [ExponentVector((1, 2), (0,)), ExponentVector([1, 2], [0]), *spec.labels()]
+        assert calls == built and all(a is b for a, b in zip(calls, built))
+        expected = built[:1] + built[2:]
+        del calls[:]
+        internal = [_ev((1, 2), (0,)), *map(_label_at(spec), range(spec.dimension))]
+        assert internal == expected and calls == []
+        with pytest.raises(ValueError, match="integers"):
+            ExponentVector((1.0,), (0,))
 
 
 INTERNAL_SPECS = [
