@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import pickle
 import random
@@ -285,7 +286,7 @@ class TestMultiply:
 
     @pytest.mark.parametrize(
         "spec",
-        [TorusSpec(1, 0, 7, 1), TorusSpec(2, 0, 3, 1), TorusSpec(1, 1, 2, 3), TorusSpec(2, 1, 2, 3), TorusSpec(2, 2, 2, 2)],
+        [TorusSpec(*t) for t in ((1, 0, 7, 1), (2, 0, 3, 1), (1, 1, 2, 3), (2, 1, 2, 3), (2, 2, 2, 2))],
         ids=repr,
     )
     def test_flat_index_product_against_naive(self, spec):
@@ -306,9 +307,12 @@ class TestMultiply:
             e = rng.randrange(20)
             return spec.q - 1 - e if tops and rng.random() < 0.5 else e
 
+        def element(x_tops: bool) -> TorusElement:
+            labels = [ExponentVector((entry(x_tops),), (entry(not x_tops),)) for _ in range(5)]
+            return TorusElement(spec, Basis.BINOMIAL, {ev: 1 + rng.randrange(996) for ev in labels})
+
         for _ in range(3):
-            f = TorusElement(spec, Basis.BINOMIAL, {ExponentVector((entry(False),), (entry(True),)): 1 + rng.randrange(996) for _ in range(5)})
-            g = TorusElement(spec, Basis.BINOMIAL, {ExponentVector((entry(True),), (entry(False),)): 1 + rng.randrange(996) for _ in range(5)})
+            f, g = element(False), element(True)
             fg = multiply(f, g)
             assert fg.terms == naive_multiply_terms(f, g)
             assert fg == multiply(g, f)
@@ -320,17 +324,16 @@ class TestMultiply:
         # another p; the cached products must match the oracle whichever spec
         # filled them.  By Lucas's theorem a product on flat indices depends on
         # p alone, so only a key that fixes neither p nor q would go wrong.
-        specs = [TorusSpec(1, 0, 3, 1), TorusSpec(1, 1, 3, 1), TorusSpec(2, 1, 3, 1), TorusSpec(1, 2, 3, 1)]
-        specs += [TorusSpec(1, 1, 3, 2), TorusSpec(2, 0, 3, 2), TorusSpec(1, 1, 2, 2), TorusSpec(1, 1, 5, 1)]
+        specs = [TorusSpec(1, 0, 3, 1), TorusSpec(1, 1, 3, 1), TorusSpec(2, 1, 3, 1)]
+        specs += [TorusSpec(1, 2, 3, 1), TorusSpec(1, 1, 3, 2), TorusSpec(2, 0, 3, 2)]
+        specs += [TorusSpec(1, 1, 2, 2), TorusSpec(1, 1, 5, 1)]
         _monomial_product.cache_clear()
         for _ in range(2):
-            for t1 in range(9):
-                for t2 in range(9):
-                    for spec in specs:
-                        if max(t1, t2) < spec.dimension:
-                            label = _label_at(spec)
-                            f, g = (TorusElement(spec, Basis.BINOMIAL, {label(t): 1}) for t in (t1, t2))
-                            assert multiply(f, g).terms == naive_multiply_terms(f, g), (spec, t1, t2)
+            for t1, t2 in itertools.product(range(9), repeat=2):
+                for spec in specs:
+                    if max(t1, t2) < spec.dimension:
+                        f, g = (monomial(spec, *_label_at(spec)(t)) for t in (t1, t2))
+                        assert multiply(f, g).terms == naive_multiply_terms(f, g), (spec, t1, t2)
         assert _monomial_product.cache_info().hits > 0
 
     def test_sparse_product_decodes_only_its_labels(self):
@@ -567,7 +570,8 @@ class TestExponentVectorSlots:
     def test_pickle_and_copy_round_trip(self):
         for ev in (ExponentVector((1, 12), (0,)), ExponentVector((3,), ()), _ev((0, 2), (4, 1))):
             copies = [copy.copy(ev), copy.deepcopy(ev)]
-            copies += [pickle.loads(pickle.dumps(ev, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+            protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+            copies += [pickle.loads(pickle.dumps(ev, proto)) for proto in protocols]
             for other in copies:
                 assert type(other) is ExponentVector
                 assert other == ev and hash(other) == hash(ev)
