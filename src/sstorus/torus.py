@@ -275,7 +275,7 @@ class TorusElement:
         parts = []
         for ev, c in self.sorted_terms():
             head = "" if c == 1 else f"{c}*"
-            parts.append(head + mono % ev)
+            parts.append(head + mono % (ev,))
         return " + ".join(parts)
 
     def __repr__(self):

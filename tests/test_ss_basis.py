@@ -414,6 +414,14 @@ class TestLabelClasses:
             sorted_form = _canonical_form(tuple(sorted(ev.a)), tuple(sorted(ev.b)), p, q)
             assert _canonical_form(ev.a, ev.b, p, q) == sorted_form, ev
 
+    # `verify` checks only that each shape's (a, b) is its own class; this
+    # checks its defect, e and f too.
+    @pytest.mark.parametrize("t", LABELLING_SPECS)
+    def test_shapes_are_their_own_forms(self, t):
+        spec = TorusSpec(*t)
+        for shape in canonical._canonical_shapes(spec):
+            assert _canonical_form(*shape[:2], spec.p, spec.q) == shape
+
     @pytest.mark.parametrize("t", LABELLING_SPECS)
     def test_table_labelling_equals_per_label_forms(self, t):
         spec = TorusSpec(*t)

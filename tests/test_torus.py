@@ -179,6 +179,16 @@ class TestElementBasics:
         assert (f * -1).terms == (-1 * f).terms == {ev: 2}
         assert scale(7, f).terms == {ev: 1}
 
+    def test_str_of_elements(self):
+        # A label is a tuple, so `%` would unpack it: str must format it whole.
+        spec = TorusSpec(2, 1, 3, 1)
+        terms = {ExponentVector((1, 1), (2,)): 5, ExponentVector((0, 1), (0,)): 1}
+        assert str(TorusElement(spec, Basis.BINOMIAL, terms)) == "m(0,1|0) + 2*m(1,1|2)"
+        assert str(TorusElement(spec, Basis.IDEMPOTENT, terms)) == "h(0,1|0) + 2*h(1,1|2)"
+        n0 = TorusElement(TorusSpec(2, 0, 5, 1), Basis.BINOMIAL, {ExponentVector((3, 0), ()): 4})
+        assert str(n0) == "4*m(3,0|)"
+        assert str(zero(spec)) == "0"
+
     def test_label_validation(self):
         spec = TorusSpec(1, 1, 2, 1)
         with pytest.raises(ValueError):
