@@ -20,30 +20,20 @@ defect zero is just a permutation orbit.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
+from collections.abc import Iterator
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Iterator, Optional
 
 from .torus import ExponentVector, TorusSpec
 
 
-@dataclass(frozen=True, slots=True)
-class CanonicalLabel:
-    """A canonical label with its defect and, for defect > 0, the split
-    indices (e, f) of the canonical shape."""
-
-    ev: ExponentVector
-    defect: int
-    e: Optional[int] = None
-    f: Optional[int] = None
+CanonicalLabel = namedtuple("CanonicalLabel", "ev defect e f", defaults=(None, None))
+CanonicalLabel.__doc__ = """A canonical label with its defect and, for defect > 0,
+the split indices (e, f) of the canonical shape."""
 
 
-@dataclass(frozen=True, slots=True)
-class EquivClass:
-    canonical: CanonicalLabel
-    members: tuple
+EquivClass = namedtuple("EquivClass", "canonical members")
 
 
 def is_special(ev: ExponentVector, spec: TorusSpec) -> bool:

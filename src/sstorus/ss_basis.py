@@ -16,9 +16,8 @@ from __future__ import annotations
 import itertools
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from math import comb
-from typing import Iterator, List, Optional
 
 from . import fp_linalg
 from .canonical import (
@@ -157,9 +156,7 @@ def build_Ha(spec: TorusSpec, a: int) -> TorusElement:
     return TorusElement(spec, Basis.IDEMPOTENT, terms)
 
 
-def ss_nullspace_oracle(
-    spec: TorusSpec, all_pairs: bool = False
-) -> List[TorusElement]:
+def ss_nullspace_oracle(spec: TorusSpec, all_pairs: bool = False) -> list[TorusElement]:
     """Basis of the supersymmetric subspace computed from scratch.
 
     Unknowns are the idempotent coordinates.  Constraints: invariance under
@@ -264,7 +261,7 @@ def _label_components(spec: TorusSpec) -> array:
     return array("q", parent)
 
 
-def ss_component_oracle(spec: TorusSpec) -> List[TorusElement]:
+def ss_component_oracle(spec: TorusSpec) -> list[TorusElement]:
     """Basis of the supersymmetric subspace from the connected components of
     its constraints, in near-linear time.
 
@@ -286,7 +283,7 @@ def _gl11_supports(p: int, q: int) -> Iterator[list]:
         yield [i * q + (p * l - i) % q for i in range(q)]
 
 
-def gl11_generators(spec: TorusSpec) -> List[TorusElement]:
+def gl11_generators(spec: TorusSpec) -> list[TorusElement]:
     """For m = n = 1: the idempotents h_(a|b) with a + b prime to p, then the
     cyclic sums sum_i h_(i | pl - i mod q) for l = 0 .. q/p - 1."""
     if spec.m != 1 or spec.n != 1:
@@ -328,7 +325,6 @@ def dim_closed_form(spec: TorusSpec) -> int:
 DENSE_ORACLE_MAX_N = 81
 
 
-@dataclass
 class CountReport:
     """Outcome of the verification bundle for one algebra.
 
@@ -336,15 +332,17 @@ class CountReport:
     JSON report does not depend on the dense threshold.
     """
 
-    spec: TorusSpec
-    closed_form: int
-    enumerated: int
-    oracle_dim: int
-    h_basis_ok: bool
-    partition_ok: bool
-    gl11_span_ok: Optional[bool]
-    oracles: tuple = ()
-    failures: list = field(default_factory=list, repr=False)
+    def __init__(self, spec: TorusSpec, closed_form: int, enumerated: int, oracle_dim: int,
+                 h_basis_ok: bool, partition_ok: bool, gl11_span_ok: bool | None,
+                 oracles: tuple = (), failures: list | None = None):
+        self.spec, self.closed_form, self.enumerated = spec, closed_form, enumerated
+        self.oracle_dim, self.h_basis_ok, self.partition_ok = oracle_dim, h_basis_ok, partition_ok
+        self.gl11_span_ok, self.oracles = gl11_span_ok, oracles
+        self.failures = [] if failures is None else failures
+
+    def __repr__(self):
+        fields = (f"{k}={v!r}" for k, v in vars(self).items() if k != "failures")
+        return f"CountReport({', '.join(fields)})"
 
     @property
     def passed(self) -> bool:

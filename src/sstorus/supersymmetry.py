@@ -15,8 +15,7 @@ bisymmetric element the single pair (1, 1) already decides all pairs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .idempotents import from_idempotent_basis, to_idempotent_basis
 from .torus import (
@@ -65,16 +64,12 @@ def phi(f: TorusElement, i: int, j: int) -> TorusElement:
     return _element(f.spec, f.basis, terms.items())
 
 
-@dataclass(frozen=True)
-class DaggerWitness:
-    """Outcome of a divisibility test by x_i + y_j.
+DaggerWitness = namedtuple("DaggerWitness", "holds quotient")
+DaggerWitness.__doc__ = """Outcome of a divisibility test by x_i + y_j.
 
-    When `holds`, `quotient` is the unique preimage supported on labels with
-    a_i + b_j prime to p, so that (x_i + y_j) * quotient recovers the input.
-    """
-
-    holds: bool
-    quotient: Optional[TorusElement]
+When `holds`, `quotient` is the unique preimage supported on labels with
+a_i + b_j prime to p, so that (x_i + y_j) * quotient recovers the input.
+"""
 
 
 def is_multiple_of_linear(g: TorusElement, i: int, j: int) -> DaggerWitness:

@@ -23,11 +23,10 @@ from __future__ import annotations
 import enum
 import itertools
 import json
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from functools import lru_cache
 from math import comb
 from operator import itemgetter
-from typing import Iterator
 
 from .modp import _require_prime
 
@@ -90,39 +89,57 @@ class ExponentVector(tuple):
         return "(%s|%s)" % (",".join(map(str, self[0])), ",".join(map(str, self[1])))
 
 
-@dataclass(frozen=True)
 class TorusSpec:
     """Ambient parameters of one truncated torus algebra.
 
-    m x-variables, n y-variables, exponents below q = p^r.  Construction
-    fails once q^(m+n) exceeds `cap`, decided from bit lengths before any
-    large power is formed; the cap is configuration, not identity, so
-    equality and hashing ignore it.
+    m x-variables, n y-variables, exponents below q = p^r, every field an
+    `int` (a float or a bool is rejected, not coerced).  Construction fails
+    once q^(m+n) exceeds `cap`, decided from bit lengths before any large
+    power is formed; the cap is configuration, not identity, so equality
+    and hashing ignore it.
     """
 
-    m: int
-    n: int
-    p: int
-    r: int
-    cap: int = field(default=DEFAULT_CAP, compare=False, repr=False)
-    q: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("m", "n", "p", "r", "cap", "q")
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m: int, n: int, p: int, r: int, cap: int = DEFAULT_CAP):
+        for name, v in zip(self.__slots__, (m, n, p, r, cap)):
+            if type(v) is not int:
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+        if m < 1:
             raise ValueError("need at least one x variable (m >= 1)")
-        if self.n < 0:
+        if n < 0:
             raise ValueError("n must be non-negative")
-        if self.r < 1:
+        if r < 1:
             raise ValueError("r must be positive")
-        _require_prime(self.p)
-        p, e, cap = self.p, self.r * (self.m + self.n), self.cap
+        _require_prime(p)
+        e = r * (m + n)
         # p^e >= 2^((bits(p) - 1) e) settles a large exponent without forming
         # the power; otherwise p^e < 4 cap^2, which is cheap to form.
         if (p.bit_length() - 1) * e >= cap.bit_length() or p**e > cap:
             size = printable_power(p, e) or f"{p}^{e}"
             raise CapExceededError(f"q^(m+n) = {size} exceeds the label cap {cap}")
         # Past the cap check, so q <= cap.
-        object.__setattr__(self, "q", p**self.r)
+        for name, v in zip(self.__slots__, (m, n, p, r, cap, p**r)):
+            object.__setattr__(self, name, v)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"TorusSpec is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return TorusSpec, (self.m, self.n, self.p, self.r, self.cap)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.n, self.p, self.r) == (other.m, other.n, other.p, other.r)
+
+    def __hash__(self):
+        return hash((self.m, self.n, self.p, self.r))
+
+    def __repr__(self):
+        return f"TorusSpec(m={self.m}, n={self.n}, p={self.p}, r={self.r})"
 
     @property
     def dimension(self) -> int:

@@ -5,6 +5,8 @@ from math import comb
 import pytest
 
 from sstorus.canonical import (
+    CanonicalLabel,
+    EquivClass,
     _counts_by_defect,
     _rectangle_sum,
     canonicalize,
@@ -64,6 +66,39 @@ def count_c_by_compositions(m, n, q, p):
             inner += prod
         total += comb(p, l) * comb(q - qp * l + m - 1, m) * inner
     return total
+
+
+class TestRecords:
+    def test_reprs(self):
+        spec = TorusSpec(1, 1, 3, 1)
+        c = canonicalize(ExponentVector((2,), (0,)), spec)
+        assert repr(c) == (
+            "CanonicalLabel(ev=ExponentVector(a=(2,), b=(0,)), defect=0, e=None, f=None)"
+        )
+        assert repr(enumerate_equivalence_class(c, spec)) == (
+            "EquivClass(canonical=CanonicalLabel(ev=ExponentVector(a=(2,), b=(0,)), "
+            "defect=0, e=None, f=None), members=(ExponentVector(a=(2,), b=(0,)),))"
+        )
+        assert repr(enumerate_canonical(spec)[0]) == (
+            "CanonicalLabel(ev=ExponentVector(a=(0,), b=(0,)), defect=1, e=1, f=1)"
+        )
+
+    def test_defaults_and_fields(self):
+        ev = ExponentVector((1,), (2,))
+        c = CanonicalLabel(ev, 0)
+        assert (c.ev, c.defect, c.e, c.f) == (ev, 0, None, None)
+        assert c == CanonicalLabel(ev=ev, defect=0, e=None, f=None)
+        assert hash(c) == hash(CanonicalLabel(ev, 0))
+        assert c != CanonicalLabel(ev, 1, 1, 1)
+        cls = EquivClass(canonical=c, members=(ev,))
+        assert (cls.canonical, cls.members) == (c, (ev,))
+
+    def test_immutable(self):
+        c = CanonicalLabel(ExponentVector((1,), (2,)), 0)
+        cls = EquivClass(c, (c.ev,))
+        for record, name in ((c, "ev"), (c, "defect"), (c, "e"), (cls, "members")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
 
 
 class TestDefect:

@@ -708,3 +708,21 @@ class TestRoundTrip:
         code, out2, _ = run(capsys, "mul", str(again), path)
         assert code == 0
         assert element_from_dict(json.loads(out2)) == multiply(multiply(x, x), x)
+
+
+class TestStartup:
+    def test_import_loads_no_unused_stdlib(self):
+        # -S keeps site from importing modules on its own account.
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import sstorus.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'ast', 'dis', 'tokenize'}"
+            " & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code, str(SRC)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

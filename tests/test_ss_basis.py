@@ -17,6 +17,7 @@ from sstorus.canonical import (
 from sstorus.cli import DEFAULT_GRID, main
 from sstorus.ss_basis import (
     DENSE_ORACLE_MAX_N,
+    CountReport,
     build_H,
     build_Ha,
     build_special,
@@ -306,6 +307,30 @@ class TestVerifyBasis:
             "partition_ok": True,
             "gl11_span_ok": True,
         }
+
+    def test_report_repr_omits_failures(self):
+        rep = verify_basis(TorusSpec(1, 1, 3, 1))
+        assert repr(rep) == (
+            "CountReport(spec=TorusSpec(m=1, n=1, p=3, r=1), closed_form=7, enumerated=7, "
+            "oracle_dim=7, h_basis_ok=True, partition_ok=True, gl11_span_ok=True, "
+            "oracles=('component', 'dense'))"
+        )
+        rep.failures.append("a failure")
+        assert "failure" not in repr(rep)
+
+    def test_report_fields(self):
+        spec = TorusSpec(2, 1, 3, 1)
+        fields = dict(closed_form=12, enumerated=12, oracle_dim=11, h_basis_ok=False,
+                      partition_ok=True, gl11_span_ok=None)
+        rep = CountReport(spec, *fields.values())
+        assert (rep.spec, rep.oracles, rep.failures, rep.passed) == (spec, (), [], True)
+        assert [getattr(rep, k) for k in fields] == list(fields.values())
+        assert rep.to_dict() == {
+            "spec": {"m": 2, "n": 1, "p": 3, "r": 1, "q": 3}, **fields
+        }
+        failed = CountReport(spec=spec, **fields, oracles=("component",), failures=["x"])
+        assert (failed.oracles, failed.failures, failed.passed) == (("component",), ["x"], False)
+        assert CountReport(spec, *fields.values()).failures is not rep.failures
 
     def test_gl21_p3(self):
         rep = verify_basis(TorusSpec(2, 1, 3, 1))

@@ -155,6 +155,19 @@ class TestDivisibility:
         assert witness.holds
         assert witness.quotient.is_zero()
 
+    def test_witness_repr_and_immutability(self):
+        spec = TorusSpec(1, 1, 3, 1)
+        yes, no = is_multiple_of_linear(zero(spec), 1, 1), is_multiple_of_linear(one(spec), 1, 1)
+        assert repr(yes) == (
+            "DaggerWitness(holds=True, quotient="
+            "TorusElement(TorusSpec(m=1, n=1, p=3, r=1), 'idempotent', {}))"
+        )
+        assert repr(no) == "DaggerWitness(holds=False, quotient=None)"
+        assert no == is_multiple_of_linear(one(spec), 1, 1)
+        for name in ("holds", "quotient"):
+            with pytest.raises(AttributeError):
+                setattr(no, name, True)
+
     def test_witness_soundness(self):
         rng = random.Random(23)
         for t in ((1, 1, 2, 1), (1, 1, 3, 1), (2, 1, 3, 1), (1, 1, 2, 2)):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from sstorus.torus import (
+    DEFAULT_CAP,
     MAX_PRINT_BITS,
     Basis,
     CapExceededError,
@@ -87,6 +88,10 @@ class TestSpec:
 
     def test_cap_not_part_of_identity(self):
         assert TorusSpec(1, 1, 2, 1) == TorusSpec(1, 1, 2, 1, cap=100)
+        spec = TorusSpec(2, 1, 3, 2)
+        assert spec != (2, 1, 3, 2)
+        assert spec != TorusSpec(2, 1, 3, 1)
+        assert {spec: 1}[TorusSpec(2, 1, 3, 2, cap=10**9)] == 1
 
     def test_stored_q_not_part_of_identity(self):
         spec = TorusSpec(2, 1, 3, 2)
@@ -94,6 +99,39 @@ class TestSpec:
         assert hash(spec) == hash(TorusSpec(2, 1, 3, 2, cap=10**9))
         with pytest.raises(TypeError):
             TorusSpec(2, 1, 3, 2, q=9)
+
+    @pytest.mark.parametrize("field", ["m", "n", "p", "r", "cap"])
+    @pytest.mark.parametrize("bad", [float, bool])
+    def test_rejects_non_integers(self, field, bad):
+        # A float or bool of a valid value, or 1.5 for a float: the type is
+        # checked before any range or cap check could pass or coerce it.
+        fields = {"m": 1, "n": 1, "p": 2, "r": 1, "cap": 100}
+        fields[field] = 1.5 if bad is float and field == "m" else bad(fields[field])
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TorusSpec(**fields)
+
+    def test_keyword_construction(self):
+        spec = TorusSpec(m=2, n=1, p=3, r=1, cap=100)
+        assert (spec.m, spec.n, spec.p, spec.r, spec.cap, spec.q) == (2, 1, 3, 1, 100, 3)
+        assert TorusSpec(2, 1, 3, 1).cap == DEFAULT_CAP
+
+    def test_immutable(self):
+        spec = TorusSpec(2, 1, 3, 2)
+        with pytest.raises(AttributeError):
+            spec.m = 3
+        with pytest.raises(AttributeError):
+            del spec.m
+        with pytest.raises(AttributeError):
+            spec.q = 1
+        assert (spec.m, spec.q) == (2, 9)
+
+    def test_copies_keep_every_field(self):
+        spec = TorusSpec(2, 1, 3, 2, cap=1000)
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        copies = [pickle.loads(pickle.dumps(spec, proto)) for proto in protocols]
+        for twin in copies + [copy.copy(spec), copy.deepcopy(spec)]:
+            assert type(twin) is TorusSpec and twin == spec
+            assert (twin.m, twin.n, twin.p, twin.r, twin.cap, twin.q) == (2, 1, 3, 2, 1000, 9)
 
     def test_slot_positions(self):
         spec = TorusSpec(2, 3, 2, 1)
