@@ -24,6 +24,7 @@ from .torus import (
     TorusElement,
     TorusSpec,
     _element,
+    _ev,
     _flat,
     _label_at,
     _require_basis,
@@ -64,17 +65,16 @@ def idempotent_univariate(spec: TorusSpec, block: str, index: int, a: int) -> To
 
 
 # The change of basis does not use this.  The one caller outside the tests,
-# ss_basis.ss_nullspace_oracle, asks for each label once per shift pair, so
-# the cache hits only on all_pairs runs and repeated test calls.  It stays
-# (bounded to the largest dense oracle, 512 labels) because
-# perfbench/tracer.py reads its cache_info.
+# ss_basis.ss_nullspace_oracle, asks for each label once per call, so the
+# cache hits only on repeated calls.  It stays (bounded to the largest dense
+# oracle, 512 labels) because perfbench/tracer.py reads its cache_info.
 @lru_cache(maxsize=1024)
 def idempotent_h(spec: TorusSpec, ev: ExponentVector) -> TorusElement:
     """The primitive idempotent h_(a|b), expanded in the binomial basis.
 
     Distinct variables commute with no cross terms, so the product of the
     univariate idempotents is the coordinatewise cross product of their
-    expansions.
+    expansions, and every exponent lies in [a, q).
     """
     spec.check_label(ev)
     p, q, m = spec.p, spec.q, spec.m
@@ -82,8 +82,7 @@ def idempotent_h(spec: TorusSpec, ev: ExponentVector) -> TorusElement:
     for a in ev.a + ev.b:
         tab = _univariate_terms(p, q, a)
         partial = [(ex + (k,), c * ck % p) for ex, c in partial for k, ck in tab]
-    terms = {ExponentVector(ex[:m], ex[m:]): c for ex, c in partial if c}
-    return TorusElement(spec, Basis.BINOMIAL, terms)
+    return _element(spec, Basis.BINOMIAL, [(_ev(ex[:m], ex[m:]), c) for ex, c in partial])
 
 
 def evaluate_point(f: TorusElement, point: ExponentVector) -> int:

@@ -18,6 +18,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Iterator
 from math import comb
+from operator import add, mul
 
 from . import fp_linalg
 from .canonical import (
@@ -46,7 +47,9 @@ from .torus import (
 )
 
 # Above this many labels `ss_nullspace_oracle` refuses to build its dense
-# constraint matrix (about 6 s of elimination at this size).
+# constraint matrix.  At this size, (2,1,2,3), it takes about 1.5 s on a
+# 2-core x86 host, most of it the N x |bad| point evaluations; elimination
+# takes about 0.05 s.
 DENSE_ORACLE_LIMIT = 512
 
 
@@ -156,6 +159,32 @@ def build_Ha(spec: TorusSpec, a: int) -> TorusElement:
     return TorusElement(spec, Basis.IDEMPOTENT, terms)
 
 
+def _divisibility_rows(spec: TorusSpec, labels: list, expansions: list, i: int, j: int) -> list:
+    """The coordinates of phi(h_t, i, j) at every label beta with p | a_i + b_j:
+    one row per beta and one entry per label t, both in label order, where
+    `expansions` holds the binomial expansions of the h_t.
+
+    The shift and the evaluation are linear, so the entry is
+    sum_k h_t[k] phi(C(x, k), i, j)(beta) mod p: each binomial monomial k is
+    shifted and evaluated at every beta once, not once per h_t that holds it,
+    and the sums over k run as C-level maps over those values.
+    """
+    p = spec.p
+    bad = [ev for ev in labels if (ev.a[i - 1] + ev.b[j - 1]) % p == 0]
+    values = {}  # values[k]: phi(C(x, k)) at every beta
+    for ev in labels:
+        ph = phi(_element(spec, Basis.BINOMIAL, [(ev, 1)]), i, j)
+        values[ev] = [evaluate_point(ph, beta) for beta in bad]
+    columns = []
+    for h in expansions:
+        acc = [0] * len(bad)
+        for ev, c in h.terms.items():
+            w = values[ev]
+            acc = list(map(add, acc, w if c == 1 else map(mul, w, itertools.repeat(c))))
+        columns.append(acc)
+    return [list(map(p.__rmod__, row)) for row in zip(*columns)]
+
+
 def ss_nullspace_oracle(spec: TorusSpec, all_pairs: bool = False) -> list[TorusElement]:
     """Basis of the supersymmetric subspace computed from scratch.
 
@@ -196,16 +225,9 @@ def ss_nullspace_oracle(spec: TorusSpec, all_pairs: bool = False) -> list[TorusE
         if all_pairs
         else [(1, 1)]
     )
+    expansions = [idempotent_h(spec, ev) for ev in labels]
     for i, j in pairs:
-        bad = [ev for ev in labels if (ev.a[i - 1] + ev.b[j - 1]) % p == 0]
-        images = []
-        for ev in labels:
-            ph = phi(idempotent_h(spec, ev), i, j)
-            images.append([evaluate_point(ph, beta) for beta in bad])
-        for bpos in range(len(bad)):
-            row = [images[t][bpos] for t in range(nlab)]
-            if any(row):
-                rows.append(row)
+        rows += [row for row in _divisibility_rows(spec, labels, expansions, i, j) if any(row)]
 
     basis_rows = fp_linalg.nullspace_basis(rows, nlab, p)
     out = []

@@ -285,6 +285,8 @@ class TestVerify:
             ("verify_1_1_3_2.json", ("--m", "1", "--n", "1", "--p", "3", "--r", "2")),
             ("verify_1_1_211_1.json", ("--m", "1", "--n", "1", "--p", "211", "--r", "1")),
             ("verify_2_2_3_2.json", ("--m", "2", "--n", "2", "--p", "3", "--r", "2")),
+            ("verify_2_1_5_1.json", ("--m", "2", "--n", "1", "--p", "5", "--r", "1")),
+            ("verify_1_2_5_1.json", ("--m", "1", "--n", "2", "--p", "5", "--r", "1")),
         ],
     )
     def test_output_matches_golden(self, capsys, golden, flags):

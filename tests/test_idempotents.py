@@ -103,6 +103,31 @@ class TestIdempotentH:
         spec = TorusSpec(1, 1, 2, 1)
         assert idempotent_h(spec, ExponentVector((1,), (1,))) == monomial(spec, (1,), (1,))
 
+    def test_checks_the_label(self):
+        spec = TorusSpec(2, 1, 3, 1)
+        for ev in (ExponentVector((3, 0), (0,)), ExponentVector((0,), (0,))):
+            with pytest.raises(ValueError):
+                idempotent_h(spec, ev)
+
+    def test_builds_terms_unchecked(self, monkeypatch):
+        """The exponents lie in [a, q) by construction, so the result skips
+        the checked label and element constructors."""
+        spec = TorusSpec(2, 1, 5, 1)
+        ev = ExponentVector((1, 3), (2,))
+
+        def checked(*args):
+            raise AssertionError("a checked constructor ran")
+
+        idempotent_h.cache_clear()
+        monkeypatch.setattr(ExponentVector, "__post_init__", checked)
+        monkeypatch.setattr(TorusElement, "__init__", checked)
+        h = idempotent_h(spec, ev)
+        monkeypatch.undo()
+        assert h.basis is Basis.BINOMIAL
+        assert h == TorusElement(spec, Basis.BINOMIAL, dict(h.terms))
+        assert all(type(label) is ExponentVector for label in h.terms)
+        assert all(x >= a for label in h.terms for x, a in zip(label.a + label.b, ev.a + ev.b))
+
     def test_matches_product_of_univariates(self):
         for spec in (TorusSpec(2, 1, 2, 1), TorusSpec(1, 2, 3, 1)):
             for ev in spec.labels():

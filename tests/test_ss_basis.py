@@ -28,6 +28,7 @@ from sstorus.ss_basis import (
     ss_nullspace_oracle,
     verify_basis,
 )
+from sstorus.idempotents import idempotent_h
 from sstorus.supersymmetry import is_supersymmetric, symmetrize
 from sstorus.torus import (
     Basis,
@@ -38,7 +39,7 @@ from sstorus.torus import (
     add,
     zero,
 )
-from util import coeff_vectors
+from util import coeff_vectors, divisibility_rows_by_element
 
 
 class TestFpLinalg:
@@ -205,9 +206,75 @@ class TestOracle:
     def test_work_guard_admits_verify_and_tested_sizes(self):
         assert ss_basis.DENSE_ORACLE_LIMIT >= max(DENSE_ORACLE_MAX_N, 125)
 
+    def test_expands_each_idempotent_once(self, monkeypatch):
+        calls = []
+
+        def counted(spec, ev):
+            calls.append(ev)
+            return idempotent_h(spec, ev)
+
+        monkeypatch.setattr(ss_basis, "idempotent_h", counted)
+        spec = TorusSpec(2, 2, 2, 1)
+        ss_nullspace_oracle(spec, all_pairs=True)
+        assert calls == list(spec.labels())
+
+
+class TestDivisibilityRows:
+    @pytest.mark.parametrize("t", DEFAULT_GRID + [(1, 1, 3, 2), (2, 1, 5, 1), (1, 1, 2, 3)])
+    def test_equal_per_element_rows(self, t):
+        spec = TorusSpec(*t)
+        labels = list(spec.labels())
+        expansions = [idempotent_h(spec, ev) for ev in labels]
+        for i in range(1, spec.m + 1):
+            for j in range(1, spec.n + 1):
+                rows = ss_basis._divisibility_rows(spec, labels, expansions, i, j)
+                assert rows == divisibility_rows_by_element(spec, i, j), (i, j)
+                assert any(map(any, rows))
+
+
+def phi_dropping_carry(f, i, j):
+    """f - s(f) for a wrong shift that takes C(y_j + 1, l) to C(y_j, l),
+    dropping the C(y_j, l - 1) term."""
+    spec = f.spec
+    ix = spec.slot("x", i)
+    terms = dict(f.terms)
+    for ev, c in f.terms.items():
+        key = list(ev.a + ev.b)
+        k = key[ix]
+        for t in range(k + 1):
+            key[ix] = t
+            shifted = ExponentVector(tuple(key[: spec.m]), tuple(key[spec.m :]))
+            terms[shifted] = terms.get(shifted, 0) - (-c if (k - t) & 1 else c)
+    return TorusElement(spec, Basis.BINOMIAL, terms)
+
+
+class TestDenseOracleCatchesMutation:
+    """A wrong shift or a wrong point evaluation inside the dense oracle makes
+    it disagree with the component oracle, and `verify` fail."""
+
+    @pytest.mark.parametrize("t", [(2, 1, 3, 1), (1, 1, 3, 2)])
+    @pytest.mark.parametrize("mutation", ["shift", "evaluation"])
+    def test_reports_disagreement(self, monkeypatch, capsys, t, mutation):
+        spec = TorusSpec(*t)
+        if mutation == "shift":
+            monkeypatch.setattr(ss_basis, "phi", phi_dropping_carry)
+        else:
+            original = ss_basis.evaluate_point
+            origin = ExponentVector((0,) * spec.m, (0,) * spec.n)
+
+            def off_by_one_at_origin(f, beta):
+                return (original(f, beta) + (beta == origin)) % f.spec.p
+
+            monkeypatch.setattr(ss_basis, "evaluate_point", off_by_one_at_origin)
+        assert "the dense and component oracles disagree" in verify_basis(spec).failures
+        assert main(["verify"] + [f"--{k}={v}" for k, v in zip("mnpr", t)]) == 1
+        assert f"FAIL {spec}: the dense and component oracles disagree\n" in capsys.readouterr().err
+
 
 class TestComponentOracle:
-    @pytest.mark.parametrize("t", DEFAULT_GRID + [(2, 1, 2, 2), (1, 1, 3, 2), (2, 1, 5, 1)])
+    @pytest.mark.parametrize(
+        "t", DEFAULT_GRID + [(2, 1, 2, 2), (1, 1, 3, 2), (2, 1, 5, 1), (2, 1, 2, 3)]
+    )
     def test_equals_dense_oracle(self, t):
         spec = TorusSpec(*t)
         assert ss_component_oracle(spec) == ss_nullspace_oracle(spec)

@@ -5,7 +5,8 @@ import itertools
 from math import comb
 
 from sstorus.canonical import count_c, count_c_prime
-from sstorus.idempotents import idempotent_h
+from sstorus.idempotents import evaluate_point, idempotent_h
+from sstorus.supersymmetry import phi
 from sstorus.torus import Basis, ExponentVector, TorusElement, TorusSpec, element_to_dict
 
 
@@ -85,6 +86,21 @@ def from_idempotent_by_h(f):
         for ev, ch in idempotent_h(f.spec, label).terms.items():
             acc[ev] = acc.get(ev, 0) + c * ch
     return TorusElement(f.spec, Basis.BINOMIAL, acc)
+
+
+def divisibility_rows_by_element(spec, i, j):
+    """Reference for the dense oracle's divisibility rows: phi(h_t, i, j) of
+    every whole `idempotent_h` expansion, evaluated point by point at every
+    label beta with p | a_i + b_j.  One row per beta and one entry per label
+    t, both in label order."""
+    p = spec.p
+    labels = list(spec.labels())
+    bad = [ev for ev in labels if (ev.a[i - 1] + ev.b[j - 1]) % p == 0]
+    images = []
+    for ev in labels:
+        ph = phi(idempotent_h(spec, ev), i, j)
+        images.append([evaluate_point(ph, beta) for beta in bad])
+    return [list(row) for row in zip(*images)]
 
 
 def matching_defect(ev, spec):
