@@ -7,12 +7,9 @@ from .canonical import (
     CanonicalLabel,
     EquivClass,
     canonicalize,
-    class_signature,
-    compositions,
     count_c,
     count_c_prime,
     count_canonical_total,
-    count_defect,
     count_ordinary_points_m1,
     defect,
     enumerate_canonical,
@@ -25,7 +22,6 @@ from .idempotents import (
     evaluate_point,
     from_idempotent_basis,
     idempotent_h,
-    idempotent_univariate,
     multiply_idempotent_basis,
     to_idempotent_basis,
 )
@@ -38,9 +34,9 @@ from .modp import (
 from .ss_basis import (
     DENSE_ORACLE_MAX_N,
     CountReport,
-    build_H,
     build_Ha,
     build_special,
+    class_sums,
     dim_closed_form,
     gl11_generators,
     ss_component_oracle,
@@ -73,8 +69,6 @@ from .torus import (
     element_to_dict,
     element_to_json,
     multiply,
-    multiply_by_coordinate,
-    multiply_by_linear,
     one,
     scale,
     zero,

@@ -98,18 +98,6 @@ def defect(ev: ExponentVector, spec: TorusSpec) -> int:
     return len(ev.a) - len(_unmatched_residues(ev.a, ev.b, spec.p)[0])
 
 
-def class_signature(ev: ExponentVector, spec: TorusSpec):
-    """Complete invariant of the equivalence class of ev.
-
-    Defect zero: the pair of sorted blocks.  Positive defect: the defect,
-    the unmatched residue multisets of both blocks, and the total mod q.
-    """
-    d = defect(ev, spec)
-    if d == 0:
-        return (0, tuple(sorted(ev.a)), tuple(sorted(ev.b)))
-    return (d, *_unmatched_residues(ev.a, ev.b, spec.p), ev.total() % spec.q)
-
-
 def is_canonical(ev: ExponentVector, spec: TorusSpec) -> bool:
     p = spec.p
     d = defect(ev, spec)
@@ -234,22 +222,6 @@ def enumerate_canonical(spec: TorusSpec) -> list:
     ]
 
 
-def compositions(total: int, parts: int) -> Iterator[tuple]:
-    """Positive integer compositions of `total` into `parts` parts, in
-    lexicographic order."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def count_c(m: int, n: int, q: int, p: int) -> int:
     """Number of defect-zero canonical labels: weakly increasing blocks with
     no pair sum divisible by p.
@@ -312,28 +284,13 @@ def _rectangle_sum(a: int, b: int, p: int) -> int:
     return total
 
 
-def _rectangle_sums(m: int, n: int, p: int, ds) -> list:
-    """R(m - d, n - d) for each d in ds.  count_c_prime is symmetric in its
-    blocks, so the smaller one is b, which bounds the terms of each sum."""
-    if n > m:
-        m, n = n, m
-    return [_rectangle_sum(m - d, n - d, p) for d in ds]
-
-
-def count_defect(m: int, n: int, d: int, q: int, p: int) -> int:
-    """Number of canonical labels of defect d >= 1: q/p times the sum of
-    count_c_prime(m - e, n - f) over the splits with min(e, f) = d, that is
-    the rectangle e, f >= d less the rectangle e, f >= d + 1."""
-    if d < 1:
-        raise ValueError("defect counts require d >= 1")
-    outer, inner = _rectangle_sums(m, n, p, (d, d + 1))
-    return q // p * (outer - inner)
-
-
 def _counts_by_defect(m: int, n: int, q: int, p: int, top: int) -> list:
     """count_c, then the counts of defects 1, .., top - 1 and of all defects
-    >= top: they sum to the total if top >= 1 or min(m, n) = 0."""
-    rects = _rectangle_sums(m, n, p, range(1, top + 1)) + [0]
+    >= top: they sum to the total if top >= 1 or min(m, n) = 0.  Defect d is
+    q/p times the rectangle sum over splits e, f >= d less that over e, f >=
+    d + 1, with the smaller block as b (count_c_prime is symmetric in them)."""
+    small, large = sorted((m, n))
+    rects = [_rectangle_sum(large - d, small - d, p) for d in range(1, top + 1)] + [0]
     return [count_c(m, n, q, p)] + [q // p * (x - y) for x, y in zip(rects, rects[1:])]
 
 

@@ -51,19 +51,6 @@ def _univariate_terms(p: int, q: int, a: int):
     return tuple(out)
 
 
-def idempotent_univariate(spec: TorusSpec, block: str, index: int, a: int) -> TorusElement:
-    """The idempotent X_a attached to one variable, in the binomial basis."""
-    if not 0 <= a < spec.q:
-        raise ValueError(f"index a = {a} outside [0, {spec.q})")
-    slot, m = spec.slot(block, index), spec.m
-    key = [0] * (m + spec.n)
-    terms = {}
-    for k, c in _univariate_terms(spec.p, spec.q, a):
-        key[slot] = k
-        terms[ExponentVector(tuple(key[:m]), tuple(key[m:]))] = c
-    return TorusElement(spec, Basis.BINOMIAL, terms)
-
-
 # The change of basis does not use this.  The one caller outside the tests,
 # ss_basis.ss_nullspace_oracle, asks for each label once per call, so the
 # cache hits only on repeated calls.  It stays (bounded to the largest dense

@@ -22,14 +22,12 @@ from operator import add, mul
 
 from . import fp_linalg
 from .canonical import (
-    CanonicalLabel,
     _canonical_form,
     _canonical_shapes,
     count_canonical_total,
     count_c,
     count_c_prime,
     enumerate_canonical,
-    enumerate_equivalence_class,
     is_ordinary,
     is_special,
 )
@@ -51,13 +49,6 @@ from .torus import (
 # 2-core x86 host, most of it the N x |bad| point evaluations; elimination
 # takes about 0.05 s.
 DENSE_ORACLE_LIMIT = 512
-
-
-def build_H(canonical: CanonicalLabel, spec: TorusSpec) -> TorusElement:
-    """Class sum: coefficient 1 at every member of the equivalence class,
-    closed by breadth-first search."""
-    cls = enumerate_equivalence_class(canonical, spec)
-    return TorusElement(spec, Basis.IDEMPOTENT, {ev: 1 for ev in cls.members})
 
 
 def _sorted_positions(q: int, k: int) -> list:
@@ -132,8 +123,8 @@ def _indicators(spec: TorusSpec, labelling, size: int) -> Iterator[TorusElement]
 
 def class_sums(spec: TorusSpec) -> Iterator[TorusElement]:
     """The class sum H of every canonical label, in `enumerate_canonical`
-    order, with the classes read from one labelling instead of closed by
-    search: the same elements as `build_H` over `enumerate_canonical`."""
+    order (coefficient 1 at each member, idempotent basis), with the classes
+    read from one labelling instead of closed by search."""
     keys, labelling = _class_labelling(spec, (c.ev for c in enumerate_canonical(spec)))
     return _indicators(spec, labelling, len(keys))
 
@@ -148,8 +139,8 @@ def build_special(ev: ExponentVector, spec: TorusSpec) -> TorusElement:
 
 def build_Ha(spec: TorusSpec, a: int) -> TorusElement:
     """Sum of all ordinary idempotents whose label total is a mod q."""
-    if not 0 <= a < spec.q:
-        raise ValueError(f"residue {a} outside [0, {spec.q})")
+    if type(a) is not int or not 0 <= a < spec.q:
+        raise ValueError(f"residue must be an integer in [0, {spec.q}), got {a!r}")
     q = spec.q
     terms = {
         ev: 1

@@ -154,6 +154,8 @@ class TorusSpec:
 
     def slot(self, block: str, index: int) -> int:
         """Position of x_index or y_index (1-based) in the flat tuple a + b."""
+        if type(index) is not int:
+            raise ValueError(f"{block} index must be an integer, got {index!r}")
         if block == "x":
             if not 1 <= index <= self.m:
                 raise ValueError(f"x index {index} out of range 1..{self.m}")
@@ -387,24 +389,6 @@ def multiply(f: TorusElement, g: TorusElement) -> TorusElement:
     # Exponents stay below q, so every t is a label's.
     label = _label_at(spec, acc)
     return _element(spec, Basis.BINOMIAL, [(label(t), c) for t, c in acc.items() if c % p])
-
-
-def multiply_by_coordinate(f: TorusElement, block: str, index: int) -> TorusElement:
-    """Left-multiply by the degree-one coordinate x_index or y_index, the
-    monomial C(x_index, 1) or C(y_index, 1)."""
-    spec = f.spec
-    key = [0] * (spec.m + spec.n)
-    key[spec.slot(block, index)] = 1
-    coordinate = ExponentVector(tuple(key[: spec.m]), tuple(key[spec.m :]))
-    return multiply(TorusElement(spec, Basis.BINOMIAL, {coordinate: 1}), f)
-
-
-def multiply_by_linear(f: TorusElement, i: int, j: int) -> TorusElement:
-    """Left-multiply by x_i + y_j (1-based indices into the two blocks)."""
-    return add(
-        multiply_by_coordinate(f, "x", i),
-        multiply_by_coordinate(f, "y", j),
-    )
 
 
 def element_to_dict(f: TorusElement) -> dict:

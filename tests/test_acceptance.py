@@ -18,12 +18,7 @@ from sstorus.canonical import (
 )
 from sstorus.idempotents import from_idempotent_basis, idempotent_h
 from sstorus.modp import alternating_power_sum
-from sstorus.ss_basis import (
-    build_H,
-    dim_closed_form,
-    gl11_generators,
-    ss_nullspace_oracle,
-)
+from sstorus.ss_basis import dim_closed_form, gl11_generators, ss_nullspace_oracle
 from sstorus.supersymmetry import is_multiple_of_linear, phi, star_system_check
 from sstorus.torus import (
     Basis,
@@ -36,7 +31,7 @@ from sstorus.torus import (
     scale,
     zero,
 )
-from util import coeff_vectors, integer_monomial_product, random_element, random_label
+from util import build_H, coeff_vectors, integer_monomial_product, random_element, random_label
 
 GRID = [
     (1, 1, 2, 1),

@@ -10,12 +10,9 @@ from sstorus.canonical import (
     _counts_by_defect,
     _rectangle_sum,
     canonicalize,
-    class_signature,
-    compositions,
     count_c,
     count_c_prime,
     count_canonical_total,
-    count_defect,
     count_ordinary_points_m1,
     defect,
     enumerate_canonical,
@@ -26,7 +23,14 @@ from sstorus.canonical import (
 )
 from sstorus.cli import DEFAULT_GRID
 from sstorus.torus import ExponentVector, TorusSpec
-from util import matching_defect, rectangle_sum_by_binomials, split_sum_defect, split_sum_total
+from util import (
+    class_signature,
+    compositions,
+    matching_defect,
+    rectangle_sum_by_binomials,
+    split_sum_defect,
+    split_sum_total,
+)
 
 SMALL_SPECS = [
     (1, 1, 2, 1),
@@ -421,13 +425,10 @@ class TestCounts:
                     assert count_c_prime(m, n, p) == brute, (m, n, p)
 
     def test_count_defect_examples(self):
-        assert count_defect(1, 1, 1, 2, 2) == 1
-        assert count_defect(1, 1, 1, 4, 2) == 2
-        assert count_defect(2, 1, 1, 3, 3) == 3
-
-    def test_count_defect_rejects_zero(self):
-        with pytest.raises(ValueError):
-            count_defect(1, 1, 0, 2, 2)
+        # _counts_by_defect(m, n, q, p, d + 1)[d] counts defect d exactly
+        assert _counts_by_defect(1, 1, 2, 2, 2)[1] == 1
+        assert _counts_by_defect(1, 1, 4, 2, 2)[1] == 2
+        assert _counts_by_defect(2, 1, 3, 3, 2)[1] == 3
 
     def test_rectangle_sums_match_split_sums(self):
         for p in (2, 3, 5, 7, 11, 13):
@@ -439,7 +440,8 @@ class TestCounts:
                         total = split_sum_total(m, n, q, p)
                         defects = [split_sum_defect(m, n, d, q, p) for d in range(1, min(m, n) + 1)]
                         for d, expected in enumerate(defects, 1):
-                            assert count_defect(m, n, d, q, p) == expected, (m, n, p, r, d)
+                            exact = _counts_by_defect(m, n, q, p, d + 1)[d]
+                            assert exact == expected, (m, n, p, r, d)
                         by_defect = _counts_by_defect(m, n, q, p, min(m, n))
                         assert by_defect == [zero, *defects], (m, n, p, r)
                         assert _counts_by_defect(m, n, q, p, 1) == [zero, total - zero], (m, n, p, r)
@@ -469,8 +471,9 @@ class TestCounts:
                     by_defect = Counter(c.defect for c in cans)
                     q = spec.q
                     assert by_defect[0] == count_c(m, n, q, p), (m, n, p, r)
+                    counts = _counts_by_defect(m, n, q, p, min(m, n))
                     for d in range(1, min(m, n) + 1):
-                        assert by_defect[d] == count_defect(m, n, d, q, p), (m, n, p, r, d)
+                        assert by_defect[d] == counts[d], (m, n, p, r, d)
                     assert len(cans) == count_canonical_total(spec)
                     r += 1
 

@@ -12,7 +12,6 @@ from sstorus.idempotents import (
     evaluate_point,
     from_idempotent_basis,
     idempotent_h,
-    idempotent_univariate,
     multiply_idempotent_basis,
     to_idempotent_basis,
 )
@@ -26,14 +25,18 @@ from sstorus.torus import (
     element_from_json,
     element_to_json,
     multiply,
-    multiply_by_coordinate,
-    multiply_by_linear,
     one,
     scale,
     zero,
 )
 from sstorus.modp import binom_mod_p
-from util import from_idempotent_by_h, random_element
+from util import (
+    from_idempotent_by_h,
+    idempotent_univariate,
+    multiply_by_coordinate,
+    multiply_by_linear,
+    random_element,
+)
 
 
 DATA = Path(__file__).parent / "data"

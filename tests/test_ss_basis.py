@@ -18,7 +18,6 @@ from sstorus.cli import DEFAULT_GRID, main
 from sstorus.ss_basis import (
     DENSE_ORACLE_MAX_N,
     CountReport,
-    build_H,
     build_Ha,
     build_special,
     class_sums,
@@ -39,7 +38,7 @@ from sstorus.torus import (
     add,
     zero,
 )
-from util import coeff_vectors, divisibility_rows_by_element
+from util import build_H, coeff_vectors, divisibility_rows_by_element
 
 
 class TestFpLinalg:
@@ -159,8 +158,10 @@ class TestBuildHa:
             assert is_supersymmetric(build_Ha(spec, a))
 
     def test_range_check(self):
-        with pytest.raises(ValueError):
-            build_Ha(TorusSpec(1, 1, 2, 1), 2)
+        # True used to give the residue-1 sum, and 0.5 the zero element
+        for a in (2, -1, True, False, 0.5, 1.0):
+            with pytest.raises(ValueError, match="residue must be an integer in"):
+                build_Ha(TorusSpec(1, 1, 2, 1), a)
 
 
 class TestOracle:
@@ -586,15 +587,14 @@ class TestLabelClasses:
         spec = TorusSpec(*t)
         patched = [
             (canonical, "enumerate_equivalence_class"),
-            (ss_basis, "enumerate_equivalence_class"),
-            (ss_basis, "build_H"),
             (supersymmetry, "is_supersymmetric"),
         ]
         if spec.dimension > DENSE_ORACLE_MAX_N:
             patched.append((ss_basis, "TorusElement"))
         for module, name in patched:
             monkeypatch.setattr(module, name, refuse)
-        assert not hasattr(ss_basis, "is_supersymmetric")
+        for name in ("is_supersymmetric", "enumerate_equivalence_class", "build_H"):
+            assert not hasattr(ss_basis, name)
         rep = verify_basis(spec)
         assert rep.passed, rep.failures
 

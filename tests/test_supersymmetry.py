@@ -7,7 +7,7 @@ import pytest
 from sstorus.canonical import enumerate_canonical
 from sstorus.cli import DEFAULT_GRID
 from sstorus.idempotents import from_idempotent_basis, idempotent_h, to_idempotent_basis
-from sstorus.ss_basis import build_H, build_Ha
+from sstorus.ss_basis import build_Ha
 from sstorus.supersymmetry import (
     freeze_slices,
     is_bisymmetric,
@@ -28,12 +28,11 @@ from sstorus.torus import (
     element_from_json,
     element_to_json,
     multiply,
-    multiply_by_linear,
     one,
     scale,
     zero,
 )
-from util import random_element, random_label
+from util import build_H, multiply_by_linear, random_element, random_label
 
 DATA = Path(__file__).parent / "data"
 
@@ -84,6 +83,16 @@ class TestPhi:
     def test_unit_annihilated(self):
         spec = TorusSpec(2, 1, 3, 1)
         assert phi(one(spec), 1, 1).is_zero()
+
+    def test_slot_indices_not_coerced(self):
+        # a bool used to act as 1, and a float failed inside the indexing
+        spec = TorusSpec(2, 1, 3, 1)
+        f = monomial(spec, (1, 0), (0,))
+        for i, j in ((True, 1), (1.0, 1), (1, True), (1, 1.0)):
+            with pytest.raises(ValueError, match="index must be an integer"):
+                phi(f, i, j)
+            with pytest.raises(ValueError, match="index must be an integer"):
+                is_multiple_of_linear(f, i, j)
 
     def test_gl11_p2_h00(self):
         spec = TorusSpec(1, 1, 2, 1)

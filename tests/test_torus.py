@@ -24,8 +24,6 @@ from sstorus.torus import (
     element_to_dict,
     element_to_json,
     multiply,
-    multiply_by_coordinate,
-    multiply_by_linear,
     one,
     printable_power,
     scale,
@@ -44,6 +42,8 @@ from sstorus.supersymmetry import is_multiple_of_linear, phi, shift_substitute
 from util import (
     element_documents,
     integer_monomial_product,
+    multiply_by_coordinate,
+    multiply_by_linear,
     naive_multiply_terms,
     random_element,
     random_label,
@@ -145,6 +145,10 @@ class TestSpec:
             ("x", 3, "x index 3 out of range 1..2"),
             ("y", 4, "y index 4 out of range 1..3"),
             ("z", 1, "block must be 'x' or 'y'"),
+            ("x", True, "x index must be an integer, got True"),
+            ("x", 1.0, "x index must be an integer, got 1.0"),
+            ("y", 2.5, "y index must be an integer, got 2.5"),
+            ("y", "1", "y index must be an integer, got '1'"),
         ],
     )
     def test_slot_rejects(self, block, index, message):

@@ -4,10 +4,24 @@ independent brute-force oracles the library is checked against."""
 import itertools
 from math import comb
 
-from sstorus.canonical import count_c, count_c_prime
+from sstorus.canonical import (
+    _unmatched_residues,
+    count_c,
+    count_c_prime,
+    defect,
+    enumerate_equivalence_class,
+)
 from sstorus.idempotents import evaluate_point, idempotent_h
 from sstorus.supersymmetry import phi
-from sstorus.torus import Basis, ExponentVector, TorusElement, TorusSpec, element_to_dict
+from sstorus.torus import (
+    Basis,
+    ExponentVector,
+    TorusElement,
+    TorusSpec,
+    add,
+    element_to_dict,
+    multiply,
+)
 
 
 def random_label(spec, rng):
@@ -135,8 +149,9 @@ def coeff_vectors(elements, labels):
 
 
 def split_sum_defect(m, n, d, q, p):
-    """Reference for `count_defect`: q/p times count_c_prime(m - e, n - f)
-    summed over every split position (e, f) with min(e, f) = d."""
+    """Reference for the defect-d count of `_counts_by_defect`: q/p times
+    count_c_prime(m - e, n - f) summed over every split position (e, f) with
+    min(e, f) = d."""
     qp = q // p
     total = 0
     for e in range(d, m + 1):
@@ -163,3 +178,69 @@ def rectangle_sum_by_binomials(a, b, p):
     if a < 0 or b < 0:
         return 0
     return sum(comb(p - 1, l) * comb(b, l) * comb(p - 1 - l + a, a) for l in range(min(b, p - 1) + 1))
+
+
+def compositions(total, parts):
+    """Positive integer compositions of `total` into `parts` parts, in
+    lexicographic order."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        if total >= 1:
+            yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def class_signature(ev, spec):
+    """Complete invariant of the equivalence class of ev, a second one
+    beside the canonical form.
+
+    Defect zero: the pair of sorted blocks.  Positive defect: the defect,
+    the unmatched residue multisets of both blocks, and the total mod q.
+    """
+    d = defect(ev, spec)
+    if d == 0:
+        return (0, tuple(sorted(ev.a)), tuple(sorted(ev.b)))
+    return (d, *_unmatched_residues(ev.a, ev.b, spec.p), ev.total() % spec.q)
+
+
+def build_H(canonical, spec):
+    """Reference for `class_sums`: coefficient 1 at every member of the
+    equivalence class, closed by breadth-first search."""
+    cls = enumerate_equivalence_class(canonical, spec)
+    return TorusElement(spec, Basis.IDEMPOTENT, {ev: 1 for ev in cls.members})
+
+
+def multiply_by_coordinate(f, block, index):
+    """Left-multiply by the degree-one coordinate x_index or y_index, the
+    monomial C(x_index, 1) or C(y_index, 1), through `multiply`."""
+    spec = f.spec
+    key = [0] * (spec.m + spec.n)
+    key[spec.slot(block, index)] = 1
+    coordinate = ExponentVector(tuple(key[: spec.m]), tuple(key[spec.m :]))
+    return multiply(TorusElement(spec, Basis.BINOMIAL, {coordinate: 1}), f)
+
+
+def multiply_by_linear(f, i, j):
+    """Left-multiply by x_i + y_j (1-based indices into the two blocks)."""
+    return add(multiply_by_coordinate(f, "x", i), multiply_by_coordinate(f, "y", j))
+
+
+def idempotent_univariate(spec, block, index, a):
+    """The idempotent X_a = sum_k (-1)^(k-a) C(k, a) C(x, k) attached to one
+    variable, in the binomial basis, each coefficient from its own binomial
+    (independent of the expansion `idempotent_h` uses)."""
+    if not 0 <= a < spec.q:
+        raise ValueError(f"index a = {a} outside [0, {spec.q})")
+    slot, m = spec.slot(block, index), spec.m
+    terms = {}
+    for k in range(a, spec.q):
+        key = [0] * (m + spec.n)
+        key[slot] = k
+        terms[ExponentVector(tuple(key[:m]), tuple(key[m:]))] = (-1) ** (k - a) * comb(k, a)
+    return TorusElement(spec, Basis.BINOMIAL, terms)
