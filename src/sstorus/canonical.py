@@ -169,6 +169,8 @@ def enumerate_equivalence_class(
 ) -> EquivClass:
     """Breadth-first closure of the canonical label under the generating
     relations, over flat int tuples; members come back sorted."""
+    if not isinstance(canonical, CanonicalLabel):
+        raise ValueError(f"expected a CanonicalLabel, got {canonical!r}")
     if not is_canonical(canonical.ev, spec):
         raise ValueError(f"{canonical.ev} is not canonical")
     m = spec.m

@@ -24,9 +24,6 @@ from .torus import (
     TorusElement,
     TorusSpec,
     _element,
-    _ev,
-    _flat,
-    _label_at,
     _require_basis,
     _require_same_spec,
 )
@@ -64,12 +61,12 @@ def idempotent_h(spec: TorusSpec, ev: ExponentVector) -> TorusElement:
     expansions, and every exponent lies in [a, q).
     """
     spec.check_label(ev)
-    p, q, m = spec.p, spec.q, spec.m
-    partial = [((), 1)]
+    p, q = spec.p, spec.q
+    partial = [(0, 1)]
     for a in ev.a + ev.b:
         tab = _univariate_terms(p, q, a)
-        partial = [(ex + (k,), c * ck % p) for ex, c in partial for k, ck in tab]
-    return _element(spec, Basis.BINOMIAL, [(_ev(ex[:m], ex[m:]), c) for ex, c in partial])
+        partial = [(t * q + k, c * ck % p) for t, c in partial for k, ck in tab]
+    return _element(spec, Basis.BINOMIAL, partial)
 
 
 def evaluate_point(f: TorusElement, point: ExponentVector) -> int:
@@ -106,8 +103,8 @@ def _change_basis(f: TorusElement, table: tuple, basis: Basis) -> TorusElement:
     """Multiply the coefficients of f by the Kronecker power of the p x p
     `table` over all (m+n) r base-p digits of the labels (Yates's algorithm).
 
-    A label (v_1..v_(m+n)) is read as the int sum_s v_s q^(m+n-1-s), whose
-    base-p digits are those of its entries because q = p^r.  By Lucas's
+    The flat index of a label (v_1..v_(m+n)), sum_s v_s q^(m+n-1-s), has the
+    base-p digits of its entries because q = p^r.  By Lucas's
     theorem C(v, k) mod p is the product of its digit binomials, so the
     mod-p Pascal matrix on [0, q)^(m+n), and its inverse, factor into one
     pass per digit.  A pass maps the dense list of all N coefficients
@@ -117,10 +114,10 @@ def _change_basis(f: TorusElement, table: tuple, basis: Basis) -> TorusElement:
     a sparse f at small p soon has, it is (p+1)/2 terms per entry.  Memory O(N).
     """
     spec = f.spec
-    p, q = spec.p, spec.q
+    p = spec.p
     vec = [0] * spec.dimension
-    for ev, c in f.terms.items():
-        vec[_flat(ev, q)] = c
+    for t, c in f.coeffs.items():
+        vec[t] = c
     rows = [[(d, w) for d, w in enumerate(row) if w] for row in table]
     zero = [0] * (spec.dimension // p)
     for _ in range((spec.m + spec.n) * spec.r):
@@ -134,8 +131,7 @@ def _change_basis(f: TorusElement, table: tuple, basis: Basis) -> TorusElement:
                     prod = cols[d] if w == 1 else map(mul, cols[d], repeat(w))
                     acc = prod if acc is zero else list(map(add, acc, prod))
             vec += [x % p for x in acc]
-    label = _label_at(spec)  # in flat-index order, as spec.labels() yields them
-    return _element(spec, basis, [(label(t), c) for t, c in enumerate(vec) if c])
+    return _element(spec, basis, enumerate(vec))
 
 
 def to_idempotent_basis(f: TorusElement) -> TorusElement:
@@ -161,6 +157,6 @@ def multiply_idempotent_basis(f: TorusElement, g: TorusElement) -> TorusElement:
     _require_same_spec(f, g)
     _require_basis(f, Basis.IDEMPOTENT)
     _require_basis(g, Basis.IDEMPOTENT)
-    small, large = (f.terms, g.terms) if len(f.terms) <= len(g.terms) else (g.terms, f.terms)
-    terms = [(ev, c * large[ev]) for ev, c in small.items() if ev in large]
+    small, large = sorted((f.coeffs, g.coeffs), key=len)
+    terms = [(t, c * large[t]) for t, c in small.items() if t in large]
     return _element(f.spec, Basis.IDEMPOTENT, terms)

@@ -20,8 +20,11 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin over the first 13 prime bases.
 
     Exact for n below `PRIMALITY_LIMIT` (about 3.3e24); larger n raise
-    `ValueError` rather than get a probabilistic answer.
+    `ValueError` rather than get a probabilistic answer, and so does an n
+    that is not an `int` (a float or a bool is not coerced).
     """
+    if type(n) is not int:
+        raise ValueError(f"primality needs an integer, got {n!r}")
     if n >= PRIMALITY_LIMIT:
         raise ValueError(f"modulus {n} is too large to test for primality")
     if n < 2:

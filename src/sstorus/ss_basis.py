@@ -41,7 +41,7 @@ from .torus import (
     TorusSpec,
     _element,
     _flat,
-    _label_at,
+    _labels,
 )
 
 # Above this many labels `ss_nullspace_oracle` refuses to build its dense
@@ -114,11 +114,10 @@ def _indicators(spec: TorusSpec, labelling, size: int) -> Iterator[TorusElement]
     order, the element with coefficient 1 at the labels of that entry."""
     members, offsets = _grouped(labelling, size)
     del labelling  # freed while the elements stream, if no caller holds it
-    label = _label_at(spec)
     for c in range(size):
         lo, hi = offsets[c], offsets[c + 1]
         if lo < hi:
-            yield _element(spec, Basis.IDEMPOTENT, [(label(t), 1) for t in members[lo:hi]])
+            yield _element(spec, Basis.IDEMPOTENT, zip(members[lo:hi], itertools.repeat(1)))
 
 
 def class_sums(spec: TorusSpec) -> Iterator[TorusElement]:
@@ -162,15 +161,15 @@ def _divisibility_rows(spec: TorusSpec, labels: list, expansions: list, i: int, 
     """
     p = spec.p
     bad = [ev for ev in labels if (ev.a[i - 1] + ev.b[j - 1]) % p == 0]
-    values = {}  # values[k]: phi(C(x, k)) at every beta
-    for ev in labels:
-        ph = phi(_element(spec, Basis.BINOMIAL, [(ev, 1)]), i, j)
-        values[ev] = [evaluate_point(ph, beta) for beta in bad]
+    values = []  # values[k]: phi(C(x, k)) at every beta
+    for k in range(len(labels)):
+        ph = phi(_element(spec, Basis.BINOMIAL, [(k, 1)]), i, j)
+        values.append([evaluate_point(ph, beta) for beta in bad])
     columns = []
     for h in expansions:
         acc = [0] * len(bad)
-        for ev, c in h.terms.items():
-            w = values[ev]
+        for k, c in h.coeffs.items():
+            w = values[k]
             acc = list(map(add, acc, w if c == 1 else map(mul, w, itertools.repeat(c))))
         columns.append(acc)
     return [list(map(p.__rmod__, row)) for row in zip(*columns)]
@@ -221,11 +220,7 @@ def ss_nullspace_oracle(spec: TorusSpec, all_pairs: bool = False) -> list[TorusE
         rows += [row for row in _divisibility_rows(spec, labels, expansions, i, j) if any(row)]
 
     basis_rows = fp_linalg.nullspace_basis(rows, nlab, p)
-    out = []
-    for vec in basis_rows:
-        terms = {labels[t]: v for t, v in enumerate(vec) if v}
-        out.append(TorusElement(spec, Basis.IDEMPOTENT, terms))
-    return out
+    return [_element(spec, Basis.IDEMPOTENT, enumerate(vec)) for vec in basis_rows]
 
 
 def _label_components(spec: TorusSpec) -> array:
@@ -301,10 +296,9 @@ def gl11_generators(spec: TorusSpec) -> list[TorusElement]:
     cyclic sums sum_i h_(i | pl - i mod q) for l = 0 .. q/p - 1."""
     if spec.m != 1 or spec.n != 1:
         raise ValueError("these generators are defined for m = n = 1 only")
-    q = spec.q
     return [
-        TorusElement(spec, Basis.IDEMPOTENT, {ExponentVector((t // q,), (t % q,)): 1 for t in s})
-        for s in _gl11_supports(spec.p, q)
+        _element(spec, Basis.IDEMPOTENT, zip(s, itertools.repeat(1)))
+        for s in _gl11_supports(spec.p, spec.q)
     ]
 
 
@@ -414,8 +408,8 @@ def verify_basis(spec: TorusSpec) -> CountReport:
     partition_ok = partition_ok and not seen[-1]
     if not partition_ok:
         failures.append("classes do not partition the label set")
-    label = _label_at(spec)
-    failures += [f"class sum at {label(keys[c])} is not supersymmetric" for c in sorted(mixed)]
+    bad = _labels(spec, [keys[c] for c in sorted(mixed)])
+    failures += [f"class sum at {ev} is not supersymmetric" for ev in bad]
 
     # The classes are the components: all labelled, none mixed, one per root.
     independent = 0 not in seen[:-1]
@@ -425,12 +419,11 @@ def verify_basis(spec: TorusSpec) -> CountReport:
     oracles = ("component",)
     if size <= DENSE_ORACLE_MAX_N:
         oracles += ("dense",)
-        labels = list(spec.labels())
         dense = ss_nullspace_oracle(spec)
         if dense != list(_indicators(spec, root, size)):
             failures.append("the dense and component oracles disagree")
         h_vecs = [[int(c == i) for c in label_class] for i in range(len(keys))]
-        dense_vecs = [[o.coefficient(ev) for ev in labels] for o in dense]
+        dense_vecs = [[o.coeffs.get(t, 0) for t in range(size)] for o in dense]
         independent = independent and fp_linalg.rank(h_vecs, p) == len(h_vecs)
         span_ok = span_ok and len(dense) == len(keys)
         span_ok = span_ok and fp_linalg.same_row_space(h_vecs, dense_vecs, p)

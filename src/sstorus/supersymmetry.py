@@ -24,44 +24,38 @@ from .torus import (
     TorusElement,
     TorusSpec,
     _element,
-    _ev,
     _require_basis,
     _require_same_spec,
+    _weight,
 )
-
-
-def _put(key: tuple, slot: int, value: int) -> tuple:
-    return key[:slot] + (value,) + key[slot + 1 :]
 
 
 def shift_substitute(f: TorusElement, i: int, j: int) -> TorusElement:
     """Apply the shift x_i -> x_i - 1, y_j -> y_j + 1 termwise.  New
-    exponents are t <= k and, only when l >= 1, l - 1, so all in range."""
+    exponents are e <= k and, only when l >= 1, l - 1, so all in range: a
+    flat index steps by the digit weights of x_i and y_j."""
     _require_basis(f, Basis.BINOMIAL)
     spec = f.spec
-    ix, jy = spec.slot("x", i), spec.slot("y", j)
-    m = spec.m
+    q, wx, wy = spec.q, _weight(spec, "x", i), _weight(spec, "y", j)
     acc: dict = {}
-    for ev, c in f.terms.items():
-        key = list(ev.a + ev.b)
-        k, l = key[ix], key[jy]
-        b_parts = (l,) if l == 0 else (l - 1, l)
-        for t in range(k + 1):
-            ct = -c if (k - t) & 1 else c
-            key[ix] = t
-            for lb in b_parts:
-                key[jy] = lb
-                new = tuple(key)
-                acc[new] = acc.get(new, 0) + ct
-    return _element(spec, Basis.BINOMIAL, [(_ev(ex[:m], ex[m:]), c) for ex, c in acc.items()])
+    for t, c in f.coeffs.items():
+        k = t // wx % q
+        steps = (0,) if t // wy % q == 0 else (-wy, 0)
+        base = t - k * wx
+        for e in range(k + 1):
+            ce = -c if (k - e) & 1 else c
+            for step in steps:
+                u = base + e * wx + step
+                acc[u] = acc.get(u, 0) + ce
+    return _element(spec, Basis.BINOMIAL, acc.items())
 
 
 def phi(f: TorusElement, i: int, j: int) -> TorusElement:
     """The difference f - s_ij(f)."""
-    terms = dict(f.terms)
-    for ev, c in shift_substitute(f, i, j).terms.items():
-        terms[ev] = terms.get(ev, 0) - c
-    return _element(f.spec, f.basis, terms.items())
+    coeffs = dict(f.coeffs)
+    for t, c in shift_substitute(f, i, j).coeffs.items():
+        coeffs[t] = coeffs.get(t, 0) - c
+    return _element(f.spec, f.basis, coeffs.items())
 
 
 DaggerWitness = namedtuple("DaggerWitness", "holds quotient")
@@ -80,32 +74,31 @@ def is_multiple_of_linear(g: TorusElement, i: int, j: int) -> DaggerWitness:
     wherever p divides a_i + b_j.
     """
     spec = g.spec
-    ix, jy = spec.slot("x", i), spec.slot("y", j) - spec.m
+    p, q, wx, wy = spec.p, spec.q, _weight(spec, "x", i), _weight(spec, "y", j)
     gi = g if g.basis is Basis.IDEMPOTENT else to_idempotent_basis(g)
-    p = spec.p
-    quot = {}
-    for ev, c in gi.terms.items():
-        s = (ev.a[ix] + ev.b[jy]) % p
+    quot = []
+    for t, c in gi.coeffs.items():
+        s = (t // wx % q + t // wy % q) % p
         if s == 0:
             return DaggerWitness(False, None)
-        quot[ev] = c * pow(s, -1, p)
-    return DaggerWitness(True, _element(spec, Basis.IDEMPOTENT, quot.items()))
+        quot.append((t, c * pow(s, -1, p)))
+    return DaggerWitness(True, _element(spec, Basis.IDEMPOTENT, quot))
 
 
 def is_bisymmetric(f: TorusElement) -> bool:
     """Invariance under permuting the x slots and the y slots separately.
 
     Adjacent transpositions generate both symmetric groups, so checking the
-    generators on the coefficient map suffices.  Labels are read as flat
-    tuples a + b, so the y slots start at offset m.
+    generators on the coefficient map suffices: swapping the digits u, v of
+    weights w q and w moves a flat index by (v - u)(w q - w).
     """
-    m, n = f.spec.m, f.spec.n
-    # Flat keys: looking up (a, b) pairs in f.terms instead gave no clear gain.
-    flat = {ev.a + ev.b: c for ev, c in f.terms.items()}
-    for idx in itertools.chain(range(m - 1), range(m, m + n - 1)):
-        for key, c in flat.items():
-            u, v = key[idx], key[idx + 1]
-            if u != v and flat.get(key[:idx] + (v, u) + key[idx + 2 :], 0) != c:
+    q, m, k = f.spec.q, f.spec.m, f.spec.m + f.spec.n
+    coeffs = f.coeffs
+    for s in itertools.chain(range(m - 1), range(m, k - 1)):
+        w = q ** (k - 2 - s)
+        for t, c in coeffs.items():
+            v, u = t // w % q, t // w // q % q
+            if u != v and coeffs.get(t + (v - u) * (w * q - w), 0) != c:
                 return False
     return True
 
@@ -139,18 +132,14 @@ def _shift_invariant_where_divisible(f: TorusElement, i: int, j: int) -> bool:
     it.
     """
     spec = f.spec
-    p, q = spec.p, spec.q
-    ix, jy = spec.slot("x", i), spec.slot("y", j)
-    # Flat keys: looking up (a, b) pairs in f.terms instead measured slower.
-    flat = {ev.a + ev.b: c for ev, c in f.terms.items()}
-    for key, c in flat.items():
-        a, b = key[ix], key[jy]
+    p, q, wx, wy = spec.p, spec.q, _weight(spec, "x", i), _weight(spec, "y", j)
+    coeffs = f.coeffs
+    for t, c in coeffs.items():
+        a, b = t // wx % q, t // wy % q
         if (a + b) % p:
             continue
         for step in (1, -1):
-            nb = list(key)
-            nb[ix], nb[jy] = (a + step) % q, (b - step) % q
-            if flat.get(tuple(nb), 0) != c:
+            if coeffs.get(t + ((a + step) % q - a) * wx + ((b - step) % q - b) * wy, 0) != c:
                 return False
     return True
 
@@ -221,43 +210,41 @@ def star_system_check(
     _require_basis(a_coeffs, Basis.BINOMIAL)
     _require_basis(b_coeffs, Basis.BINOMIAL)
     spec = a_coeffs.spec
-    ix, jy = spec.slot("x", i), spec.slot("y", j)
-    p, q = spec.p, spec.q
-    A = {ev.a + ev.b: c for ev, c in a_coeffs.terms.items()}
-    B = {ev.a + ev.b: c for ev, c in b_coeffs.terms.items()}
+    p, q, wx, wy = spec.p, spec.q, _weight(spec, "x", i), _weight(spec, "y", j)
+    A, B = a_coeffs.coeffs, b_coeffs.coeffs
 
     candidates = set()
-    for key in A:
-        bj = key[jy]
-        for t in range(key[ix] + 1):
-            lam = _put(key, ix, t)
+    for t in A:
+        k, l = t // wx % q, t // wy % q
+        for e in range(k + 1):
+            lam = t + (e - k) * wx
             candidates.add(lam)
-            if bj > 0:
-                candidates.add(_put(lam, jy, bj - 1))
-    for key in B:
-        candidates.add(key)
-        if key[ix] + 1 < q:
-            candidates.add(_put(key, ix, key[ix] + 1))
-        if key[jy] + 1 < q:
-            candidates.add(_put(key, jy, key[jy] + 1))
+            if l > 0:
+                candidates.add(lam - wy)
+    for t in B:
+        candidates.add(t)
+        if t // wx % q + 1 < q:
+            candidates.add(t + wx)
+        if t // wy % q + 1 < q:
+            candidates.add(t + wy)
 
     for lam in candidates:
-        li, lj = lam[ix], lam[jy]
+        li, lj = lam // wx % q, lam // wy % q
         lhs = 0
-        for t in range(li, q):
-            sign = -1 if (t - li) & 1 else 1
-            shifted = _put(lam, ix, t)
+        for e in range(li, q):
+            sign = -1 if (e - li) & 1 else 1
+            shifted = lam + (e - li) * wx
             for pj in (lj, lj + 1):
-                if pj >= q or (t == li and pj == lj):
+                if pj >= q or (e == li and pj == lj):
                     continue
-                c = A.get(_put(shifted, jy, pj), 0)
+                c = A.get(shifted + (pj - lj) * wy, 0)
                 if c:
                     lhs -= sign * c
         rhs = (li + lj) * B.get(lam, 0)
         if li:
-            rhs += li * B.get(_put(lam, ix, li - 1), 0)
+            rhs += li * B.get(lam - wx, 0)
         if lj:
-            rhs += lj * B.get(_put(lam, jy, lj - 1), 0)
+            rhs += lj * B.get(lam - wy, 0)
         if (lhs - rhs) % p:
             return False
     return True

@@ -27,6 +27,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 from math import comb
 from operator import itemgetter
+from types import MappingProxyType
 
 from .modp import _require_prime
 
@@ -166,38 +167,47 @@ class TorusSpec:
             return self.m + index - 1
         raise ValueError("block must be 'x' or 'y'")
 
-    def check_label(self, ev: ExponentVector):
+    def check_label(self, ev: ExponentVector) -> int:
+        """The flat index of `ev` (see `torus._flat`), once `ValueError` has
+        not been raised for a wrong shape or an exponent outside [0, q)."""
         if len(ev.a) != self.m or len(ev.b) != self.n:
             raise ValueError(
                 f"label {ev} has wrong shape for (m, n) = ({self.m}, {self.n})"
             )
-        q = self.q
+        q, t = self.q, 0
         for v in ev.a + ev.b:
             if not 0 <= v < q:
                 raise ValueError(f"label {ev} has an exponent outside [0, {q})")
+            t = t * q + v
+        return t
 
 
 _new, _pair = object.__new__, tuple.__new__
 
-
-def _ev(a: tuple, b: tuple) -> ExponentVector:
-    """An `ExponentVector` from two tuples of ints, without the public
-    constructor's checks: for labels built from checked ones."""
-    return _pair(ExponentVector, (a, b))
+# At most this many blocks, q^m + q^n, are tabled once per (q, m, n) for
+# decoding labels; a larger algebra decodes from the blocks at hand.
+BLOCK_TABLE_LIMIT = 1 << 14
 
 
-def _label_at(spec: TorusSpec, support=None):
-    """The map from a flat index t to the t-th label of `spec.labels()`, read
-    from tables of all q^m and q^n blocks, or of the blocks of the indices in
-    `support` alone when they are fewer: a sparse result costs its size."""
+@lru_cache(maxsize=4)
+def _block_tables(q: int, m: int, n: int) -> list:
+    """All q^m and all q^n blocks, each list in flat order."""
+    return [list(itertools.product(range(q), repeat=k)) for k in (m, n)]
+
+
+def _labels(spec: TorusSpec, keys) -> list:
+    """The labels at the flat indices `keys`, in order: the t-th label of
+    `spec.labels()` for each t.  Blocks come from `_block_tables` up to
+    `BLOCK_TABLE_LIMIT`, else from the blocks of `keys` alone, so a sparse
+    element of a large algebra costs its size."""
     q, m, n = spec.q, spec.m, spec.n
     width = q**n
-    if support is None or q**m + width <= len(support):
-        blocks_a, blocks_b = (list(itertools.product(range(q), repeat=k)) for k in (m, n))
+    if q**m + width <= BLOCK_TABLE_LIMIT:
+        blocks_a, blocks_b = _block_tables(q, m, n)
     else:
-        blocks_a = _blocks({t // width for t in support}, q, m)
-        blocks_b = _blocks({t % width for t in support}, q, n)
-    return lambda t: _pair(ExponentVector, (blocks_a[t // width], blocks_b[t % width]))
+        blocks_a = _blocks({t // width for t in keys}, q, m)
+        blocks_b = _blocks({t % width for t in keys}, q, n)
+    return [_pair(ExponentVector, (blocks_a[t // width], blocks_b[t % width])) for t in keys]
 
 
 def _blocks(us, q: int, k: int) -> dict:
@@ -208,54 +218,62 @@ def _blocks(us, q: int, k: int) -> dict:
 
 
 def _flat(label, q: int) -> int:
-    """The flat index of a label, or of any (a, b) pair, as `_label_at` reads
-    it: the integer whose base-q digits are a + b."""
+    """The flat index of a label, or of any (a, b) pair: the integer whose
+    base-q digits are a + b, its position in `spec.labels()`."""
     t = 0
     for v in label[0] + label[1]:
         t = t * q + v
     return t
 
 
-class TorusElement:
-    """A sparse element: finite map from labels to nonzero residues mod p.
+def _weight(spec: TorusSpec, block: str, index: int) -> int:
+    """The place value in a flat index of the digit of x_index or y_index."""
+    return spec.q ** (spec.m + spec.n - 1 - spec.slot(block, index))
 
-    Immutable by convention; every operation returns a fresh element.  Two
-    elements are equal iff their specs, basis tags and term maps agree.  The
+
+class TorusElement:
+    """A sparse element: finite map from labels to nonzero residues mod p,
+    held as `coeffs`, keyed by flat index (see `_flat`); `terms` is the same
+    map keyed by label, read-only and decoded once, on first use.
+
+    Immutable by convention; every operation returns a fresh element.  The
     constructors are the one place that reduces coefficients mod p and drops
     zeros, so operations hand them raw integer sums.  A coefficient that is
     not an `int` (a float or a bool included) raises `ValueError`, and so
-    does a label outside the spec.  Operations whose labels are in range by
-    construction build their results through `_element` instead, which
-    skips both checks.
+    does a label outside the spec.  Operations build their results on flat
+    indices in range through `_element` instead, which skips both checks.
     """
 
-    __slots__ = ("spec", "basis", "terms")
+    __slots__ = ("spec", "basis", "coeffs", "_terms")
 
     def __init__(self, spec: TorusSpec, basis: Basis, terms):
         p = spec.p
-        cleaned = {}
+        coeffs = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for ev, c in items:
             if type(c) is not int:
                 raise ValueError(f"coefficients must be integers, got {c!r}")
             c %= p
-            if not c:
-                continue
-            spec.check_label(ev)
-            cleaned[ev] = c
-        self.spec = spec
-        self.basis = basis
-        self.terms = cleaned
+            if c:
+                coeffs[spec.check_label(ev)] = c
+        self.spec, self.basis, self.coeffs, self._terms = spec, basis, coeffs, None
+
+    @property
+    def terms(self):
+        if self._terms is None:
+            coeffs = self.coeffs
+            self._terms = dict(zip(_labels(self.spec, coeffs), coeffs.values()))
+        return MappingProxyType(self._terms)
 
     def coefficient(self, ev: ExponentVector) -> int:
         return self.terms.get(ev, 0)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def sorted_terms(self):
-        # Labels are distinct, so the pairs sort by label alone.
-        return sorted(self.terms.items())
+        keys = sorted(self.coeffs)
+        return list(zip(_labels(self.spec, keys), map(self.coeffs.__getitem__, keys)))
 
     def __eq__(self, other):
         if not isinstance(other, TorusElement):
@@ -263,7 +281,7 @@ class TorusElement:
         return (
             self.spec == other.spec
             and self.basis is other.basis
-            and self.terms == other.terms
+            and self.coeffs == other.coeffs
         )
 
     def __add__(self, other):
@@ -288,7 +306,7 @@ class TorusElement:
         return scale(other, self)
 
     def __str__(self):
-        if not self.terms:
+        if not self.coeffs:
             return "0"
         mono = "h%s" if self.basis is Basis.IDEMPOTENT else "m%s"
         parts = []
@@ -305,12 +323,12 @@ class TorusElement:
 
 
 def _element(spec: TorusSpec, basis: Basis, terms) -> TorusElement:
-    """A `TorusElement` from (label, int) pairs whose labels are in range by
-    construction: reduces mod p and drops zeros, and checks nothing."""
+    """A `TorusElement` from (flat index, int) pairs whose indices are in
+    range by construction: reduces mod p and drops zeros, and checks nothing."""
     p = spec.p
     f = _new(TorusElement)
-    f.spec, f.basis = spec, basis
-    f.terms = {ev: r for ev, c in terms if (r := c % p)}
+    f.spec, f.basis, f._terms = spec, basis, None
+    f.coeffs = {t: r for t, c in terms if (r := c % p)}
     return f
 
 
@@ -338,26 +356,34 @@ def add(f: TorusElement, g: TorusElement) -> TorusElement:
     _require_same_spec(f, g)
     if f.basis is not g.basis:
         raise MismatchError("cannot add elements in different bases")
-    terms = dict(f.terms)
-    for ev, c in g.terms.items():
-        terms[ev] = terms.get(ev, 0) + c
-    return _element(f.spec, f.basis, terms.items())
+    coeffs = dict(f.coeffs)
+    for t, c in g.coeffs.items():
+        coeffs[t] = coeffs.get(t, 0) + c
+    return _element(f.spec, f.basis, coeffs.items())
 
 
 def scale(c, f: TorusElement) -> TorusElement:
     if type(c) is not int:
         raise ValueError(f"coefficients must be integers, got {c!r}")
-    return _element(f.spec, f.basis, [(ev, c * cc) for ev, cc in f.terms.items()])
+    return _element(f.spec, f.basis, [(t, c * cc) for t, cc in f.coeffs.items()])
 
 
-# 2^14 entries, each one pair of monomials and at most
-# prod_s (min(k1_s, k2_s) + 1) product terms.
-@lru_cache(maxsize=1 << 14)
+# Products of monomial pairs by (t1, t2, p, q, k), as `_monomial_product`
+# returns them.  A product of more than PRODUCT_TERMS_MAX terms is not kept,
+# and the cache is emptied before it would hold PRODUCT_CACHE_TERMS in all.
+PRODUCT_TERMS_MAX = 1 << 12
+PRODUCT_CACHE_TERMS = 1 << 18
+_products: dict = {}
+_product_terms = 0
+
+
 def _monomial_product(t1: int, t2: int, p: int, q: int, k: int):
     """Product of the monomials at flat indices t1 and t2 of labels with k
     entries, as ((flat index, coeff), ...): per coordinate, the module
     docstring's expansion of C(x, k1) C(x, k2), less exponents of q or more
-    and zero coefficients, so their products are nonzero mod the prime p."""
+    and zero coefficients, so their products are nonzero mod the prime p.
+    Kept in `_products` when small."""
+    global _product_terms
     partial = [(0, 1)]
     for w in [q**s for s in range(k - 1, -1, -1)]:
         k1, k2 = t1 // w % q, t2 // w % q
@@ -367,28 +393,37 @@ def _monomial_product(t1: int, t2: int, p: int, q: int, k: int):
             if (e := k1 + k2 - i) < q and (c := comb(e, k1 - i) * comb(k2, i) % p)
         ]
         partial = [(t * q + e, c * ce % p) for t, c in partial for e, ce in tab]
-    return tuple(partial)
+    product = tuple(partial)
+    if len(product) <= PRODUCT_TERMS_MAX:
+        if _product_terms + len(product) > PRODUCT_CACHE_TERMS:
+            _products.clear()
+            _product_terms = 0
+        _products[t1, t2, p, q, k] = product
+        _product_terms += len(product)
+    return product
 
 
 def multiply(f: TorusElement, g: TorusElement) -> TorusElement:
     """Product of two binomial-basis elements (commutative, associative),
-    accumulated on flat label indices."""
+    accumulated on flat indices.  Exponents stay below q, so every index is
+    a label's."""
     _require_same_spec(f, g)
     _require_basis(f, Basis.BINOMIAL)
     _require_basis(g, Basis.BINOMIAL)
     spec = f.spec
     p, q, k = spec.p, spec.q, spec.m + spec.n
-    gterms = [(_flat(ev, q), c) for ev, c in g.terms.items()]
+    gterms = list(g.coeffs.items())
+    products = _products
     acc: dict = {}
-    for ev1, c1 in f.terms.items():
-        t1 = _flat(ev1, q)
+    for t1, c1 in f.coeffs.items():
         for t2, c2 in gterms:
             c12 = c1 * c2
-            for t, c in _monomial_product(t1, t2, p, q, k):
+            product = products.get((t1, t2, p, q, k))
+            if product is None:
+                product = _monomial_product(t1, t2, p, q, k)
+            for t, c in product:
                 acc[t] = acc.get(t, 0) + c12 * c
-    # Exponents stay below q, so every t is a label's.
-    label = _label_at(spec, acc)
-    return _element(spec, Basis.BINOMIAL, [(label(t), c) for t, c in acc.items() if c % p])
+    return _element(spec, Basis.BINOMIAL, acc.items())
 
 
 def element_to_dict(f: TorusElement) -> dict:
@@ -431,12 +466,12 @@ def element_from_dict(data: dict, cap: int = DEFAULT_CAP) -> TorusElement:
             type(a) is list
             and type(b) is list
             and type(c) is int
-            and all(type(v) is int for v in a + b)
+            and set(map(type, a + b)) <= {int}
         ):
             raise ValueError(
                 f"malformed term {entry!r}: needs integer lists a, b and an integer c"
             )
-        ev = ExponentVector(tuple(a), tuple(b))
+        ev = _pair(ExponentVector, (tuple(a), tuple(b)))  # entries checked above
         if not 0 < c < spec.p:
             raise ValueError(f"coefficient {c} outside [1, {spec.p})")
         if ev in terms:

@@ -323,6 +323,13 @@ class TestClasses:
         with pytest.raises(ValueError):
             enumerate_equivalence_class(tampered, spec)
 
+    def test_rejects_a_bare_label(self):
+        # A label is no canonical label: its `.ev` used to raise AttributeError.
+        spec = TorusSpec(2, 1, 3, 1)
+        for ev in (ExponentVector((0, 1), (0,)), canonicalize(ExponentVector((0, 1), (0,)), spec)[:1]):
+            with pytest.raises(ValueError, match="CanonicalLabel"):
+                enumerate_equivalence_class(ev, spec)
+
     def test_gl21_r2_mesh_scaled_class_size(self):
         # defect-1 classes scale by (q/p)^2 relative to r = 1
         for t in ((2, 1, 2, 2), (2, 1, 3, 2)):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -96,6 +97,16 @@ class TestMul:
         assert code == 0
         assert err == ""
         assert out == (DATA / "mul_2_1_3_2.json").read_text()
+
+    def test_unbalanced_sparse_output_matches_golden(self, capsys):
+        # one term each at (2,0,3137,1), N = 3137^2: 7,208 product terms whose
+        # labels are decoded from their own blocks; the golden is a sha256.
+        lhs, rhs = (str(DATA / f"mul_2_0_3137_1_{side}.json") for side in ("lhs", "rhs"))
+        code, out, err = run(capsys, "mul", lhs, rhs)
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["terms"]) == 7208
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert f"{digest}  -\n" == (DATA / "mul_2_0_3137_1.sha256").read_text()
 
     def test_spec_mismatch_exits_2(self, capsys, tmp_path, spec11):
         lhs = write_element(tmp_path, "a.json", one(spec11))

@@ -128,3 +128,10 @@ def test_is_prime_refuses_moduli_beyond_exact_range():
     for n in (PRIMALITY_LIMIT, 2**89 - 1):
         with pytest.raises(ValueError, match="too large"):
             is_prime(n)
+
+
+@pytest.mark.parametrize("n", [7.0, True, False, 2.5, "7", None], ids=repr)
+def test_is_prime_rejects_non_integers(n):
+    # 7.0 used to pass as 7 and True as 1; neither is coerced now.
+    with pytest.raises(ValueError, match="integer"):
+        is_prime(n)

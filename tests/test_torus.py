@@ -28,10 +28,12 @@ from sstorus.torus import (
     printable_power,
     scale,
     zero,
+    PRODUCT_CACHE_TERMS,
+    PRODUCT_TERMS_MAX,
     _element,
-    _ev,
-    _label_at,
-    _monomial_product,
+    _flat,
+    _labels,
+    _products,
 )
 from sstorus.idempotents import (
     from_idempotent_basis,
@@ -52,6 +54,11 @@ from util import (
 
 def monomial(spec, a, b, c=1):
     return TorusElement(spec, Basis.BINOMIAL, {ExponentVector(a, b): c})
+
+
+def decoded(a, b, q=13):
+    """The label (a | b) as the library decodes it from its flat index."""
+    return _labels(TorusSpec(len(a), len(b), q, 1), [_flat((a, b), q)])[0]
 
 
 class TestSpec:
@@ -379,14 +386,15 @@ class TestMultiply:
         specs = [TorusSpec(1, 0, 3, 1), TorusSpec(1, 1, 3, 1), TorusSpec(2, 1, 3, 1)]
         specs += [TorusSpec(1, 2, 3, 1), TorusSpec(1, 1, 3, 2), TorusSpec(2, 0, 3, 2)]
         specs += [TorusSpec(1, 1, 2, 2), TorusSpec(1, 1, 5, 1)]
-        _monomial_product.cache_clear()
-        for _ in range(2):
+        _products.clear()
+        for cached in (False, True):
             for t1, t2 in itertools.product(range(9), repeat=2):
                 for spec in specs:
                     if max(t1, t2) < spec.dimension:
-                        f, g = (monomial(spec, *_label_at(spec)(t)) for t in (t1, t2))
+                        key = (t1, t2, spec.p, spec.q, spec.m + spec.n)
+                        assert key in _products or not cached
+                        f, g = (monomial(spec, *_labels(spec, [t])[0]) for t in (t1, t2))
                         assert multiply(f, g).terms == naive_multiply_terms(f, g), (spec, t1, t2)
-        assert _monomial_product.cache_info().hits > 0
 
     def test_sparse_product_decodes_only_its_labels(self):
         # Tables of all q^m blocks would hold 50,653 tuples here, about 5 MB.
@@ -395,11 +403,37 @@ class TestMultiply:
         tracemalloc.start()
         try:
             fg = multiply(f, g)
+            labelled, text, doc = dict(fg.terms), str(fg), element_to_dict(fg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert fg.terms == naive_multiply_terms(f, g) and len(fg.terms) == 2 * 5 * 1
+        assert labelled == naive_multiply_terms(f, g) and len(labelled) == 2 * 5 * 1
+        assert text.startswith("m(3,30,2|) + 32*m(3,31,2|)") and len(doc["terms"]) == 10
         assert peak < 200_000
+
+    def test_large_products_are_not_cached(self):
+        # At (1,1,211,1) the middle monomials multiply to about 106^2 terms.
+        spec = TorusSpec(1, 1, 211, 1)
+        big, small = monomial(spec, (105,), (105,)), monomial(spec, (2,), (3,))
+        key = (105 * 211 + 105, 105 * 211 + 105, 211, 211, 2)
+        product = multiply(big, big)
+        assert len(product.terms) > PRODUCT_TERMS_MAX and key not in _products
+        assert multiply(big, big) == product and key not in _products
+        multiply(small, big)
+        assert (2 * 211 + 3, key[1], 211, 211, 2) in _products
+
+    def test_product_cache_holds_a_bounded_number_of_terms(self):
+        # Squares of (u | v) have (u + 1)(v + 1) <= 64^2 terms each, all kept
+        # alone, and 315,000 in all.
+        spec = TorusSpec(1, 1, 211, 1)
+        total = 0
+        for u in range(40, 64):
+            for v in range(60, 64):
+                t = u * 211 + v
+                total += len(multiply(monomial(spec, (u,), (v,)), monomial(spec, (u,), (v,))).coeffs)
+                assert (t, t, 211, 211, 2) in _products
+                assert sum(map(len, _products.values())) <= PRODUCT_CACHE_TERMS
+        assert total == 315_000 > PRODUCT_CACHE_TERMS
 
 
 class TestCoordinateMultiplication:
@@ -591,7 +625,7 @@ class TestExponentVectorSlots:
         assert max(labels) == ev((1, 0), (0,))
 
     def test_equal_labels_hash_equal(self):
-        built = [ExponentVector((1, 2), (0,)), ExponentVector([1, 2], [0]), _ev((1, 2), (0,))]
+        built = [ExponentVector((1, 2), (0,)), ExponentVector([1, 2], [0]), decoded((1, 2), (0,))]
         assert len({hash(ev) for ev in built}) == 1
         assert len(set(built)) == 1
         assert {built[0]: 5}[built[2]] == 5
@@ -620,7 +654,7 @@ class TestExponentVectorSlots:
             assert [hash(ev) for ev in set(labels)] == [hash(pr) for pr in set(pairs)]
 
     def test_pickle_and_copy_round_trip(self):
-        for ev in (ExponentVector((1, 12), (0,)), ExponentVector((3,), ()), _ev((0, 2), (4, 1))):
+        for ev in (ExponentVector((1, 12), (0,)), ExponentVector((3,), ()), decoded((0, 2), (4, 1))):
             copies = [copy.copy(ev), copy.deepcopy(ev)]
             protocols = range(pickle.HIGHEST_PROTOCOL + 1)
             copies += [pickle.loads(pickle.dumps(ev, proto)) for proto in protocols]
@@ -644,7 +678,7 @@ class TestExponentVectorSlots:
         assert calls == built and all(a is b for a, b in zip(calls, built))
         expected = built[:1] + built[2:]
         del calls[:]
-        internal = [_ev((1, 2), (0,)), *map(_label_at(spec), range(spec.dimension))]
+        internal = _labels(spec, [_flat(built[0], spec.q), *range(spec.dimension)])
         assert internal == expected and calls == []
         with pytest.raises(ValueError, match="integers"):
             ExponentVector((1.0,), (0,))
@@ -688,14 +722,51 @@ def assert_like_public(res):
         assert type(c) is int and 0 < c < p
 
 
+class TestLabelView:
+    """Labels are decoded from flat indices only where they leave the
+    element: the `terms` view, `coefficient`, `str`, `repr` and JSON."""
+
+    def test_coefficient_never_aliases_another_label(self):
+        # (0 | 4) and (1, 1 |) have the flat index of (1 | 1) at q = 3.
+        spec = TorusSpec(1, 1, 3, 1)
+        f = monomial(spec, (1,), (1,), 2)
+        assert f.coefficient(ExponentVector((1,), (1,))) == 2
+        for ev in (ExponentVector((0,), (4,)), ExponentVector((1, 1), ()), ExponentVector((), (1, 1))):
+            assert _flat(ev, spec.q) == 4 and f.coefficient(ev) == 0
+        for ev in (ExponentVector((-1,), (7,)), ExponentVector((3,), (1,)), ExponentVector((1,), ())):
+            assert f.coefficient(ev) == 0
+
+    def test_terms_view_is_read_only(self):
+        spec = TorusSpec(2, 1, 3, 1)
+        u, v = ExponentVector((1, 0), (2,)), ExponentVector((0, 2), (0,))
+        f = TorusElement(spec, Basis.BINOMIAL, {u: 1, v: 2})
+        with pytest.raises(TypeError):
+            f.terms[u] = 2
+        with pytest.raises(TypeError):
+            del f.terms[v]
+        with pytest.raises(AttributeError):
+            f.terms.clear()
+        assert f.terms == {u: 1, v: 2} and dict(f.terms) == {v: 2, u: 1}
+        assert f.coeffs == {_flat(u, 3): 1, _flat(v, 3): 2}
+        assert f.sorted_terms() == sorted(f.terms.items()) == [(v, 2), (u, 1)]
+
+    def test_view_is_decoded_once(self, monkeypatch):
+        spec = TorusSpec(1, 1, 5, 1)
+        f = phi(TorusElement(spec, Basis.BINOMIAL, {ExponentVector((3,), (2,)): 1}), 1, 1)
+        first = f.terms
+        monkeypatch.setattr("sstorus.torus._labels", None)
+        assert f.terms == first and f.coefficient(next(iter(first))) == first[next(iter(first))]
+
+
 class TestInternalConstructor:
-    """Results built through `_ev` and `_element` skip the public checks;
-    they must equal what the checked constructor makes of their terms."""
+    """Results built on flat indices through `_element` skip the public
+    checks; they must equal what the checked constructor makes of their
+    terms."""
 
     def test_element_reduces_and_drops_zeros_only(self):
         spec = TorusSpec(1, 1, 5, 1)
-        u, v, w = _ev((1,), (2,)), _ev((0,), (4,)), _ev((3,), (3,))
-        f = _element(spec, Basis.IDEMPOTENT, [(u, 7), (v, -5), (w, -1)])
+        u, v, w = ExponentVector((1,), (2,)), ExponentVector((0,), (4,)), ExponentVector((3,), (3,))
+        f = _element(spec, Basis.IDEMPOTENT, [(7, 7), (4, -5), (18, -1)])
         assert f.terms == {u: 2, w: 4}
         assert f == TorusElement(spec, Basis.IDEMPOTENT, {u: 7, v: -5, w: -1})
         assert _element(spec, Basis.BINOMIAL, []) == zero(spec)
