@@ -190,24 +190,31 @@ BLOCK_TABLE_LIMIT = 1 << 14
 
 
 @lru_cache(maxsize=4)
-def _block_tables(q: int, m: int, n: int) -> list:
-    """All q^m and all q^n blocks, each list in flat order."""
-    return [list(itertools.product(range(q), repeat=k)) for k in (m, n)]
+def _block_tables(q: int, m: int, n: int):
+    """(A, B, q^n) with A and B the lists of all q^m and all q^n blocks in
+    flat order, or None above `BLOCK_TABLE_LIMIT` blocks."""
+    if q**m + q**n > BLOCK_TABLE_LIMIT:
+        return None
+    return *(list(itertools.product(range(q), repeat=k)) for k in (m, n)), q**n
+
+
+def _decoder(spec: TorusSpec, keys):
+    """(A, B, w) such that the label at each flat index t in `keys` is
+    (A[t // w], B[t % w]): `_block_tables` where they exist, else maps from
+    the blocks of `keys` alone, so a sparse element of a large algebra
+    costs its size."""
+    q, m, n = spec.q, spec.m, spec.n
+    tables = _block_tables(q, m, n)
+    if tables:
+        return tables
+    w = q**n
+    return _blocks({t // w for t in keys}, q, m), _blocks({t % w for t in keys}, q, n), w
 
 
 def _labels(spec: TorusSpec, keys) -> list:
-    """The labels at the flat indices `keys`, in order: the t-th label of
-    `spec.labels()` for each t.  Blocks come from `_block_tables` up to
-    `BLOCK_TABLE_LIMIT`, else from the blocks of `keys` alone, so a sparse
-    element of a large algebra costs its size."""
-    q, m, n = spec.q, spec.m, spec.n
-    width = q**n
-    if q**m + width <= BLOCK_TABLE_LIMIT:
-        blocks_a, blocks_b = _block_tables(q, m, n)
-    else:
-        blocks_a = _blocks({t // width for t in keys}, q, m)
-        blocks_b = _blocks({t % width for t in keys}, q, n)
-    return [_pair(ExponentVector, (blocks_a[t // width], blocks_b[t % width])) for t in keys]
+    """The labels at the flat indices `keys`, in order."""
+    A, B, w = _decoder(spec, keys)
+    return [_pair(ExponentVector, (A[t // w], B[t % w])) for t in keys]
 
 
 def _blocks(us, q: int, k: int) -> dict:
@@ -413,12 +420,11 @@ def multiply(f: TorusElement, g: TorusElement) -> TorusElement:
     spec = f.spec
     p, q, k = spec.p, spec.q, spec.m + spec.n
     gterms = list(g.coeffs.items())
-    products = _products
     acc: dict = {}
     for t1, c1 in f.coeffs.items():
         for t2, c2 in gterms:
             c12 = c1 * c2
-            product = products.get((t1, t2, p, q, k))
+            product = _products.get((t1, t2, p, q, k))
             if product is None:
                 product = _monomial_product(t1, t2, p, q, k)
             for t, c in product:
@@ -428,16 +434,16 @@ def multiply(f: TorusElement, g: TorusElement) -> TorusElement:
 
 def element_to_dict(f: TorusElement) -> dict:
     """JSON-ready form; terms sorted by label, coefficients in [1, p)."""
-    spec = f.spec
+    spec, coeffs = f.spec, f.coeffs
+    keys = sorted(coeffs)
+    A, B, w = _decoder(spec, keys)
     return {
         "m": spec.m,
         "n": spec.n,
         "p": spec.p,
         "r": spec.r,
         "basis": f.basis.value,
-        "terms": [
-            {"a": list(ev.a), "b": list(ev.b), "c": c} for ev, c in f.sorted_terms()
-        ],
+        "terms": [{"a": list(A[t // w]), "b": list(B[t % w]), "c": coeffs[t]} for t in keys],
     }
 
 
