@@ -168,8 +168,8 @@ class TorusSpec:
         raise ValueError("block must be 'x' or 'y'")
 
     def check_label(self, ev: ExponentVector) -> int:
-        """The flat index of `ev` (see `torus._flat`), once `ValueError` has
-        not been raised for a wrong shape or an exponent outside [0, q)."""
+        """The flat index of `ev` (see `torus._flat`); `ValueError` if its
+        shape is wrong or an exponent lies outside [0, q)."""
         if len(ev.a) != self.m or len(ev.b) != self.n:
             raise ValueError(
                 f"label {ev} has wrong shape for (m, n) = ({self.m}, {self.n})"
