@@ -299,12 +299,25 @@ class TestVerify:
             ("verify_2_2_3_2.json", ("--m", "2", "--n", "2", "--p", "3", "--r", "2")),
             ("verify_2_1_5_1.json", ("--m", "2", "--n", "1", "--p", "5", "--r", "1")),
             ("verify_1_2_5_1.json", ("--m", "1", "--n", "2", "--p", "5", "--r", "1")),
+            ("verify_grid_config.json", ("--grid", "--config", str(DATA / "verify_grid_config_in.json"))),
         ],
     )
     def test_output_matches_golden(self, capsys, golden, flags):
         code, out, err = run(capsys, "verify", *flags)
         assert code == 0
         assert err == ""
+        assert out == (DATA / golden).read_text()
+
+    @pytest.mark.parametrize(
+        "element, golden, expected",
+        [("check_ss_2_1_3_1_in.json", "check_ss_true.json", 0),
+         ("check_ss_2_1_3_1_dropped_in.json", "check_ss_false.json", 1)],
+    )
+    def test_check_ss_matches_golden(self, capsys, element, golden, expected):
+        # A class sum, and the same sum with (0, 0 | 0) dropped: still
+        # bisymmetric, so the (1, 1) divisibility decides.
+        code, out, err = run(capsys, "verify", "--check-ss", str(DATA / element))
+        assert (code, err) == (expected, "")
         assert out == (DATA / golden).read_text()
 
     def test_config_grid_override(self, capsys, tmp_path):
