@@ -25,12 +25,7 @@ from .idempotents import (
     multiply_idempotent_basis,
     to_idempotent_basis,
 )
-from .modp import (
-    alternating_power_sum,
-    binom_mod_p,
-    has_padic_carry,
-    is_prime,
-)
+from .modp import alternating_power_sum, is_prime
 from .ss_basis import (
     DENSE_ORACLE_MAX_N,
     CountReport,

@@ -25,6 +25,7 @@ from collections.abc import Iterator
 from itertools import combinations_with_replacement
 from math import comb
 
+from .modp import _require_prime, _require_sizes
 from .torus import ExponentVector, TorusSpec
 
 
@@ -38,6 +39,7 @@ EquivClass = namedtuple("EquivClass", "canonical members")
 
 def is_special(ev: ExponentVector, spec: TorusSpec) -> bool:
     """No pair sum a_i + b_j divisible by p."""
+    spec.check_label(ev)
     p = spec.p
     return all((av + bv) % p for av in ev.a for bv in ev.b)
 
@@ -236,6 +238,11 @@ def count_c(m: int, n: int, q: int, p: int) -> int:
     sum_i (-1)^(l-i) C(l, i) C(i*q/p + n - 1, n).  Those big binomials are
     formed once per i.
     """
+    _require_sizes(m, n)
+    _require_prime(p)
+    # q > 1 divides p^k for k >= log2(q) exactly when q is a power of p.
+    if type(q) is not int or q < 2 or pow(p, q.bit_length(), q):
+        raise ValueError(f"q = {q!r} is not a power of p = {p}")
     if n > m:
         m, n = n, m
     if n == 0:
@@ -252,6 +259,8 @@ def count_c(m: int, n: int, q: int, p: int) -> int:
 
 def count_c_prime(m: int, n: int, p: int) -> int:
     """Like count_c at q = p but with every entry strictly inside (0, p)."""
+    _require_sizes(m, n)
+    _require_prime(p)
     if m == 0 and n == 0:
         return 1
     if n == 0:
@@ -327,6 +336,8 @@ def count_canonical_total(spec: TorusSpec) -> int:
 def count_ordinary_points_m1(m: int, p: int) -> int:
     """Number of labels (a_1..a_m | b) over [0, p) with some a_i + b = 0
     mod p, by inclusion-exclusion."""
+    _require_sizes(m)
+    _require_prime(p)
     if m < 1:
         raise ValueError("m must be >= 1")
     total = 0

@@ -206,22 +206,15 @@ def cmd_verify(args, config: dict, cap: int) -> int:
         _emit({"supersymmetric": ok})
         return EXIT_OK if ok else EXIT_VERIFY
 
-    if args.grid:
-        specs = [TorusSpec(*entry, cap=cap) for entry in _grid_from(config)]
-        reports = [ss_basis.verify_basis(spec) for spec in specs]
-        _emit([rep.to_dict() for rep in reports])
-        bad = [rep for rep in reports if not rep.passed]
-        for rep in bad:
-            for failure in rep.failures:
-                print(f"FAIL {rep.spec}: {failure}", file=sys.stderr)
-        return EXIT_VERIFY if bad else EXIT_OK
-
-    spec = TorusSpec(*_spec_fields(args), cap=cap)
-    report = ss_basis.verify_basis(spec)
-    _emit(report.to_dict())
-    for failure in report.failures:
-        print(f"FAIL {spec}: {failure}", file=sys.stderr)
-    return EXIT_OK if report.passed else EXIT_VERIFY
+    # Every spec is built before any is verified, so a bad one exits first.
+    entries = _grid_from(config) if args.grid else [_spec_fields(args)]
+    specs = [TorusSpec(*entry, cap=cap) for entry in entries]
+    reports = [ss_basis.verify_basis(spec) for spec in specs]
+    _emit([rep.to_dict() for rep in reports] if args.grid else reports[0].to_dict())
+    for rep in reports:
+        for failure in rep.failures:
+            print(f"FAIL {rep.spec}: {failure}", file=sys.stderr)
+    return EXIT_OK if all(rep.passed for rep in reports) else EXIT_VERIFY
 
 
 def _add_spec_flags(sub):

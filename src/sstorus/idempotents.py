@@ -51,8 +51,9 @@ def _univariate_terms(p: int, q: int, a: int):
 # The change of basis does not use this.  The one caller outside the tests,
 # ss_basis.ss_nullspace_oracle, asks for each label once per call, so the
 # cache hits only on repeated calls.  It stays (bounded to the largest dense
-# oracle, 512 labels) because perfbench/tracer.py reads its cache_info.
-@lru_cache(maxsize=1024)
+# oracle, 512 labels) because perfbench/tracer.py reads its cache_info.  It is
+# typed, so that a plain tuple never hits the entry of the label it equals.
+@lru_cache(maxsize=1024, typed=True)
 def idempotent_h(spec: TorusSpec, ev: ExponentVector) -> TorusElement:
     """The primitive idempotent h_(a|b), expanded in the binomial basis.
 

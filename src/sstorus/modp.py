@@ -1,9 +1,9 @@
-"""Binomial-coefficient arithmetic modulo a prime.
+"""Exact integer helpers: a deterministic primality test, the checks that
+reject a non-prime modulus or a size that is not a non-negative `int`, and
+the alternating power sum sum_r (-1)^r C(a, r) r^b.
 
-Everything here is exact: big integers in, canonical residues out.  The
-base-p digit product (Lucas) and the carry criterion (Kummer) are
-implemented independently of each other so they can be cross-checked
-against plain integer binomials.
+The Lucas digit product and the Kummer carry criterion for binomials mod p
+live in the tests, as references.
 """
 
 from __future__ import annotations
@@ -52,40 +52,10 @@ def _require_prime(p: int):
         raise ValueError(f"modulus {p} is not prime")
 
 
-def binom_mod_p(n: int, k: int, p: int) -> int:
-    """C(n, k) mod p via the base-p digit product, as a residue in [0, p).
-
-    Exact for arbitrarily large n, k; returns 0 whenever k > n.
-    """
-    _require_prime(p)
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be non-negative")
-    if k > n:
-        return 0
-    acc = 1
-    while k:
-        nd, n = n % p, n // p
-        kd, k = k % p, k // p
-        if kd > nd:
-            return 0
-        acc = acc * comb(nd, kd) % p
-    return acc
-
-
-def has_padic_carry(a: int, b: int, p: int) -> bool:
-    """True iff adding a and b in base p produces at least one carry.
-
-    Equivalent to C(a+b, a) being divisible by p.
-    """
-    _require_prime(p)
-    if a < 0 or b < 0:
-        raise ValueError("a and b must be non-negative")
-    while a and b:
-        if a % p + b % p >= p:
-            return True
-        a //= p
-        b //= p
-    return False
+def _require_sizes(*sizes):
+    for v in sizes:
+        if type(v) is not int or v < 0:
+            raise ValueError(f"sizes must be non-negative integers, got {v!r}")
 
 
 def alternating_power_sum(a: int, b: int) -> int:
@@ -93,10 +63,9 @@ def alternating_power_sum(a: int, b: int) -> int:
 
     The sum vanishes for 0 <= b < a and equals (-1)^a a! at b = a.
     """
+    _require_sizes(a, b)
     if a < 1:
         raise ValueError("a must be positive")
-    if b < 0:
-        raise ValueError("b must be non-negative")
     total = 0
     for r in range(a + 1):
         term = comb(a, r) * r**b

@@ -130,7 +130,6 @@ def class_sums(spec: TorusSpec) -> Iterator[TorusElement]:
 
 def build_special(ev: ExponentVector, spec: TorusSpec) -> TorusElement:
     """Symmetrized idempotent at a special label (no pair sum divisible by p)."""
-    spec.check_label(ev)
     if not is_special(ev, spec):
         raise ValueError(f"label {ev} is ordinary: some a_i + b_j is divisible by p")
     return symmetrize(ev, spec)
@@ -175,14 +174,13 @@ def _divisibility_rows(spec: TorusSpec, labels: list, expansions: list, i: int, 
     return [list(map(p.__rmod__, row)) for row in zip(*columns)]
 
 
-def ss_nullspace_oracle(spec: TorusSpec, all_pairs: bool = False) -> list[TorusElement]:
+def ss_nullspace_oracle(spec: TorusSpec) -> list[TorusElement]:
     """Basis of the supersymmetric subspace computed from scratch.
 
     Unknowns are the idempotent coordinates.  Constraints: invariance under
     the adjacent transpositions of each block, and vanishing of the
     coordinates of phi(f, 1, 1) at every label with a_1 + b_1 divisible by p
-    (exactly divisibility by x_1 + y_1).  With `all_pairs` the divisibility
-    rows are added for every pair (i, j) instead of (1, 1) alone.
+    (exactly divisibility by x_1 + y_1).
 
     Solved by exact elimination mod p; the result is in reduced echelon form
     with pivots in lexicographic label order.  Raises `CapExceededError`
@@ -210,14 +208,8 @@ def ss_nullspace_oracle(spec: TorusSpec, all_pairs: bool = False) -> list[TorusE
                 row[index[other]] = p - 1
                 rows.append(row)
 
-    pairs = (
-        [(i, j) for i in range(1, spec.m + 1) for j in range(1, spec.n + 1)]
-        if all_pairs
-        else [(1, 1)]
-    )
     expansions = [idempotent_h(spec, ev) for ev in labels]
-    for i, j in pairs:
-        rows += [row for row in _divisibility_rows(spec, labels, expansions, i, j) if any(row)]
+    rows += [row for row in _divisibility_rows(spec, labels, expansions, 1, 1) if any(row)]
 
     basis_rows = fp_linalg.nullspace_basis(rows, nlab, p)
     return [_element(spec, Basis.IDEMPOTENT, enumerate(vec)) for vec in basis_rows]

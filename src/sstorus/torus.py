@@ -168,8 +168,11 @@ class TorusSpec:
         raise ValueError("block must be 'x' or 'y'")
 
     def check_label(self, ev: ExponentVector) -> int:
-        """The flat index of `ev` (see `torus._flat`); `ValueError` if its
-        shape is wrong or an exponent lies outside [0, q)."""
+        """The flat index of `ev` (see `torus._flat`); `ValueError` if it is
+        not an `ExponentVector`, its shape is wrong or an exponent lies
+        outside [0, q)."""
+        if not isinstance(ev, ExponentVector):
+            raise ValueError(f"a label must be an ExponentVector, got {ev!r}")
         if len(ev.a) != self.m or len(ev.b) != self.n:
             raise ValueError(
                 f"label {ev} has wrong shape for (m, n) = ({self.m}, {self.n})"

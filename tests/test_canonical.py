@@ -502,3 +502,44 @@ class TestOrdinaryPoints:
                     if any((point[i] + point[m]) % p == 0 for i in range(m))
                 )
                 assert count_ordinary_points_m1(m, p) == brute
+
+
+# Each of these used to return a number or raise from inside: True counted as
+# 1, q = 4 passed as a power of 3, p = -1 gave 0 or 3, a float p gave a float
+# count, and a float size raised TypeError from math.comb.
+BAD_COUNT_ARGUMENTS = [
+    (count_c, (True, 1, 3, 3)),
+    (count_c, (1.0, 1, 3, 3)),
+    (count_c, (1, -1, 3, 3)),
+    (count_c, (1, 1, 4, 3)),
+    (count_c, (1, 1, 1, 3)),
+    (count_c, (1, 1, 3.0, 3)),
+    (count_c, (2, 1, 3, -1)),
+    (count_c, (1, 1, 4, 4)),
+    (count_c_prime, (True, 1, 3)),
+    (count_c_prime, (1, 1.0, 3)),
+    (count_c_prime, (-1, 1, 3)),
+    (count_c_prime, (1, 1, 4)),
+    (count_ordinary_points_m1, (2, 3.0)),
+    (count_ordinary_points_m1, (2, -1)),
+    (count_ordinary_points_m1, (1, 4)),
+    (count_ordinary_points_m1, (2.0, 3)),
+    (count_ordinary_points_m1, (True, 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args", BAD_COUNT_ARGUMENTS, ids=[f"{fn.__name__}{args}" for fn, args in BAD_COUNT_ARGUMENTS]
+)
+def test_counts_reject_bad_arguments(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
+@pytest.mark.parametrize("fn", [is_special, is_ordinary])
+def test_special_and_ordinary_check_the_label(fn):
+    # (7 | 1) has the wrong shape and an exponent out of range at (2,1,3,1);
+    # is_special used to answer True.
+    for ev in (ExponentVector((7,), (1,)), ExponentVector((0, 3), (1,)), ((0, 1), (1,))):
+        with pytest.raises(ValueError):
+            fn(ev, TorusSpec(2, 1, 3, 1))

@@ -29,8 +29,8 @@ from sstorus.torus import (
     scale,
     zero,
 )
-from sstorus.modp import binom_mod_p
 from util import (
+    binom_mod_p,
     from_idempotent_by_h,
     idempotent_univariate,
     multiply_by_coordinate,

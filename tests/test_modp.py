@@ -2,13 +2,8 @@ import math
 
 import pytest
 
-from sstorus.modp import (
-    PRIMALITY_LIMIT,
-    alternating_power_sum,
-    binom_mod_p,
-    has_padic_carry,
-    is_prime,
-)
+from sstorus.modp import PRIMALITY_LIMIT, alternating_power_sum, is_prime
+from util import binom_mod_p, has_padic_carry
 
 
 def pascal_triangle(limit):
@@ -91,6 +86,12 @@ class TestAlternatingPowerSum:
     def test_rejects_nonpositive_a(self):
         with pytest.raises(ValueError):
             alternating_power_sum(0, 0)
+
+    @pytest.mark.parametrize("a, b", [(3, 2.0), (3.0, 2), (True, 2), (3, True), (3, -1), (-1, 2)])
+    def test_rejects_non_integers_and_negatives(self, a, b):
+        # (3, 2.0) used to give 0.0 and (True, 2) gave -1.
+        with pytest.raises(ValueError):
+            alternating_power_sum(a, b)
 
 
 def test_is_prime_basics():

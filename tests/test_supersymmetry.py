@@ -1,3 +1,4 @@
+import itertools
 import random
 from functools import reduce
 from pathlib import Path
@@ -38,6 +39,11 @@ DATA = Path(__file__).parent / "data"
 
 def monomial(spec, a, b, c=1):
     return TorusElement(spec, Basis.BINOMIAL, {ExponentVector(a, b): c})
+
+
+def pairs(spec):
+    """Every pair (i, j) of an x index and a y index."""
+    return itertools.product(range(1, spec.m + 1), range(1, spec.n + 1))
 
 
 class TestShift:
@@ -267,12 +273,16 @@ class TestDaggerAndSupersymmetry:
         assert satisfies_dagger(f, 1, 1)
 
     def test_unit_supersymmetric(self):
-        assert is_supersymmetric(one(TorusSpec(2, 1, 3, 1)), check_all_pairs=True)
+        f = one(TorusSpec(2, 1, 3, 1))
+        assert is_supersymmetric(f)
+        assert all(satisfies_dagger(f, i, j) for i, j in pairs(f.spec))
 
     def test_residue_sums_supersymmetric(self):
         spec = TorusSpec(2, 1, 3, 1)
         for a in range(spec.q):
-            assert is_supersymmetric(build_Ha(spec, a), check_all_pairs=True)
+            f = build_Ha(spec, a)
+            assert is_supersymmetric(f)
+            assert all(satisfies_dagger(f, i, j) for i, j in pairs(spec))
 
     def test_rejects_n_zero(self):
         spec = TorusSpec(2, 0, 3, 1)
@@ -382,13 +392,19 @@ class TestFastCheckAgainstBinomialRoute:
     @pytest.mark.parametrize("t", DEFAULT_GRID)
     @pytest.mark.parametrize("all_pairs", [False, True])
     def test_agrees_on_grid(self, t, all_pairs):
+        """With `all_pairs`, also the claim that (1, 1) decides every pair:
+        on each bisymmetric case, the binomial route gives the same
+        divisibility verdict at every pair (i, j) as at (1, 1)."""
         spec = TorusSpec(*t)
         rng = random.Random(str(t))
         verdicts = set()
         for f, expected in fast_check_cases(spec, rng):
-            fast = is_supersymmetric(f, check_all_pairs=all_pairs)
+            fast = is_supersymmetric(f)
             assert fast == binomial_route(f), f
             if expected is not None:
                 assert fast == expected, f
             verdicts.add(fast)
+            if all_pairs and is_bisymmetric(f):
+                d11 = satisfies_dagger(f, 1, 1)
+                assert all(satisfies_dagger(f, i, j) == d11 for i, j in pairs(spec)), f
         assert verdicts == {True, False}

@@ -12,6 +12,7 @@ from sstorus.canonical import (
     enumerate_equivalence_class,
 )
 from sstorus.idempotents import evaluate_point, idempotent_h
+from sstorus.modp import _require_prime
 from sstorus.supersymmetry import phi
 from sstorus.torus import (
     Basis,
@@ -244,3 +245,39 @@ def idempotent_univariate(spec, block, index, a):
         key[slot] = k
         terms[ExponentVector(tuple(key[:m]), tuple(key[m:]))] = (-1) ** (k - a) * comb(k, a)
     return TorusElement(spec, Basis.BINOMIAL, terms)
+
+
+def binom_mod_p(n: int, k: int, p: int) -> int:
+    """C(n, k) mod p via the base-p digit product, as a residue in [0, p).
+
+    Exact for arbitrarily large n, k; returns 0 whenever k > n.
+    """
+    _require_prime(p)
+    if n < 0 or k < 0:
+        raise ValueError("n and k must be non-negative")
+    if k > n:
+        return 0
+    acc = 1
+    while k:
+        nd, n = n % p, n // p
+        kd, k = k % p, k // p
+        if kd > nd:
+            return 0
+        acc = acc * comb(nd, kd) % p
+    return acc
+
+
+def has_padic_carry(a: int, b: int, p: int) -> bool:
+    """True iff adding a and b in base p produces at least one carry.
+
+    Equivalent to C(a+b, a) being divisible by p.
+    """
+    _require_prime(p)
+    if a < 0 or b < 0:
+        raise ValueError("a and b must be non-negative")
+    while a and b:
+        if a % p + b % p >= p:
+            return True
+        a //= p
+        b //= p
+    return False
