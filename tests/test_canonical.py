@@ -529,7 +529,9 @@ BAD_COUNT_ARGUMENTS = [
 
 
 @pytest.mark.parametrize(
-    "fn, args", BAD_COUNT_ARGUMENTS, ids=[f"{fn.__name__}{args}" for fn, args in BAD_COUNT_ARGUMENTS]
+    "fn, args",
+    BAD_COUNT_ARGUMENTS,
+    ids=[f"{fn.__name__}{args}" for fn, args in BAD_COUNT_ARGUMENTS],
 )
 def test_counts_reject_bad_arguments(fn, args):
     with pytest.raises(ValueError):

@@ -299,7 +299,8 @@ class TestVerify:
             ("verify_2_2_3_2.json", ("--m", "2", "--n", "2", "--p", "3", "--r", "2")),
             ("verify_2_1_5_1.json", ("--m", "2", "--n", "1", "--p", "5", "--r", "1")),
             ("verify_1_2_5_1.json", ("--m", "1", "--n", "2", "--p", "5", "--r", "1")),
-            ("verify_grid_config.json", ("--grid", "--config", str(DATA / "verify_grid_config_in.json"))),
+            ("verify_grid_config.json",
+             ("--grid", "--config", str(DATA / "verify_grid_config_in.json"))),
         ],
     )
     def test_output_matches_golden(self, capsys, golden, flags):
