@@ -101,49 +101,9 @@ def defect(ev: ExponentVector, spec: TorusSpec) -> int:
 
 
 def is_canonical(ev: ExponentVector, spec: TorusSpec) -> bool:
-    p = spec.p
-    d = defect(ev, spec)
-    a, b = ev.a, ev.b
-    if d == 0:
-        return all(a[i] <= a[i + 1] for i in range(len(a) - 1)) and all(
-            b[j] <= b[j + 1] for j in range(len(b) - 1)
-        )
-
-    e = 0
-    while e < len(a) and a[e] == 0:
-        e += 1
-    if e == 0:
-        return False
-    tail_a = a[e:]
-    if not all(0 < v < p for v in tail_a):
-        return False
-    if any(tail_a[i] > tail_a[i + 1] for i in range(len(tail_a) - 1)):
-        return False
-
-    z = 0
-    while z < len(b) and b[z] == 0:
-        z += 1
-    if z == len(b):
-        f = len(b)
-        tail_b = ()
-    elif b[z] % p == 0:
-        f = z + 1
-        tail_b = b[z + 1 :]
-    elif z >= 1:
-        f = z
-        tail_b = b[z:]
-    else:
-        return False
-    if f < 1:
-        return False
-    if not all(0 < v < p for v in tail_b):
-        return False
-    if any(tail_b[i] > tail_b[i + 1] for i in range(len(tail_b) - 1)):
-        return False
-
-    if min(e, f) != d:
-        return False
-    return all((av + bv) % p for av in tail_a for bv in tail_b)
+    # The canonical label of a class is its own canonical form.
+    spec.check_label(ev)
+    return _canonical_form(ev.a, ev.b, spec.p, spec.q)[:2] == ev
 
 
 def canonicalize(ev: ExponentVector, spec: TorusSpec) -> CanonicalLabel:
@@ -170,11 +130,14 @@ def enumerate_equivalence_class(
     canonical: CanonicalLabel, spec: TorusSpec
 ) -> EquivClass:
     """Breadth-first closure of the canonical label under the generating
-    relations, over flat int tuples; members come back sorted."""
+    relations, over flat int tuples; members come back sorted.  `ValueError`
+    unless `canonical` is what `canonicalize` gives for its label, defect and
+    split indices included, as ints (True == 1 is no match)."""
     if not isinstance(canonical, CanonicalLabel):
         raise ValueError(f"expected a CanonicalLabel, got {canonical!r}")
-    if not is_canonical(canonical.ev, spec):
-        raise ValueError(f"{canonical.ev} is not canonical")
+    expected = canonicalize(canonical.ev, spec)
+    if canonical != expected or [*map(type, canonical)] != [*map(type, expected)]:
+        raise ValueError(f"{canonical!r} is not canonical")
     m = spec.m
     start = canonical.ev.a + canonical.ev.b
     seen = {start}

@@ -57,6 +57,8 @@ def _load_config(args) -> dict:
     data = torus.load_json(_read_text(args.config))
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
+    if unknown := sorted(data.keys() - {"cap", "grid"}):
+        raise ValueError(f"config keys {unknown} are unknown: only cap and grid are read")
     return data
 
 
@@ -184,9 +186,9 @@ def cmd_count(args, config: dict, cap: int) -> int:
 def _grid_from(config: dict):
     """The config's grid, or the default one: a non-empty list of
     [m, n, p, r] lists of integers (no floats, no booleans)."""
-    grid = config.get("grid")
-    if grid is None:
+    if "grid" not in config:
         return DEFAULT_GRID
+    grid = config["grid"]
     if not isinstance(grid, list) or not grid:
         raise ValueError("config grid must be a non-empty list of [m, n, p, r] lists")
     for entry in grid:

@@ -276,6 +276,8 @@ class TorusElement:
         return MappingProxyType(self._terms)
 
     def coefficient(self, ev: ExponentVector) -> int:
+        if not isinstance(ev, ExponentVector):
+            raise ValueError(f"a label must be an ExponentVector, got {ev!r}")
         return self.terms.get(ev, 0)
 
     def is_zero(self) -> bool:

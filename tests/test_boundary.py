@@ -107,6 +107,7 @@ def label_calls():
         "is_special": lambda ev: sstorus.is_special(ev, spec),
         "symmetrize": lambda ev: sstorus.symmetrize(ev, spec),
         "check_label": spec.check_label,
+        "coefficient": f.coefficient,
     }
 
 

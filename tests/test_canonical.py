@@ -28,6 +28,7 @@ from util import (
     compositions,
     matching_defect,
     rectangle_sum_by_binomials,
+    shape_is_canonical,
     split_sum_defect,
     split_sum_total,
 )
@@ -44,11 +45,28 @@ SMALL_SPECS = [
     (3, 1, 2, 1),
 ]
 
+# Specs on which `enumerate_canonical` is compared with `scan_canonical`.
+SCAN_SPECS = [
+    (1, 0, 2, 1),
+    (2, 0, 3, 1),
+    (3, 0, 2, 2),
+    (1, 1, 2, 1),
+    (2, 2, 2, 1),
+    (2, 1, 2, 2),
+    (1, 1, 2, 3),
+    (1, 2, 3, 2),
+    (3, 1, 3, 1),
+    (3, 2, 2, 1),
+    (3, 3, 2, 1),
+    (3, 3, 5, 1),
+    (2, 2, 3, 2),
+]
+
 
 def scan_canonical(spec):
     """Reference for `enumerate_canonical`: test every label with
-    `is_canonical`, in lexicographic order."""
-    return [canonicalize(ev, spec) for ev in spec.labels() if is_canonical(ev, spec)]
+    `shape_is_canonical`, in lexicographic order."""
+    return [canonicalize(ev, spec) for ev in spec.labels() if shape_is_canonical(ev, spec)]
 
 
 def count_c_by_compositions(m, n, q, p):
@@ -154,7 +172,7 @@ class TestDefect:
                 )
                 c = canonicalize(ev, spec)
                 assert c.defect == defect(ev, spec) == matching_defect(ev, spec)
-                assert is_canonical(c.ev, spec)
+                assert shape_is_canonical(c.ev, spec)
                 assert class_signature(c.ev, spec) == class_signature(ev, spec)
                 assert canonicalize(c.ev, spec) == c
 
@@ -165,28 +183,58 @@ class TestDefect:
             assert is_ordinary(ev, spec) == (defect(ev, spec) > 0)
 
 
+def verdicts(ev, spec):
+    """`is_canonical` and the shape walk it is checked against, on one label."""
+    return is_canonical(ev, spec), shape_is_canonical(ev, spec)
+
+
 class TestIsCanonical:
     def test_examples(self):
         spec = TorusSpec(1, 1, 2, 2)
-        assert is_canonical(ExponentVector((0,), (2,)), spec)
-        assert not is_canonical(ExponentVector((1,), (3,)), spec)
+        assert verdicts(ExponentVector((0,), (2,)), spec) == (True, True)
+        assert verdicts(ExponentVector((1,), (3,)), spec) == (False, False)
         spec21 = TorusSpec(2, 1, 3, 1)
-        assert is_canonical(ExponentVector((0, 1), (0,)), spec21)
+        assert verdicts(ExponentVector((0, 1), (0,)), spec21) == (True, True)
 
     def test_defect_zero_sorted(self):
         spec = TorusSpec(2, 1, 3, 1)
-        assert is_canonical(ExponentVector((1, 2), (0,)), spec)
-        assert not is_canonical(ExponentVector((2, 1), (0,)), spec)
+        assert verdicts(ExponentVector((1, 2), (0,)), spec) == (True, True)
+        assert verdicts(ExponentVector((2, 1), (0,)), spec) == (False, False)
 
     def test_positive_defect_requires_leading_zero(self):
         spec = TorusSpec(1, 1, 2, 2)
         # defect 1 but a_1 != 0
-        assert not is_canonical(ExponentVector((1,), (1,)), spec)
+        assert verdicts(ExponentVector((1,), (1,)), spec) == (False, False)
 
     def test_tail_entries_must_be_below_p(self):
         spec = TorusSpec(2, 1, 2, 2)
         # (0, 3 | 0) has defect 1 but 3 >= p
-        assert not is_canonical(ExponentVector((0, 3), (0,)), spec)
+        assert verdicts(ExponentVector((0, 3), (0,)), spec) == (False, False)
+
+    @pytest.mark.parametrize("t", sorted(set(SMALL_SPECS + SCAN_SPECS)))
+    def test_agrees_with_shape_walk_on_every_label(self, t):
+        spec = TorusSpec(*t)
+        for ev in spec.labels():
+            yes, ref = verdicts(ev, spec)
+            assert yes == ref, (t, ev)
+
+    def test_agrees_with_shape_walk_at_large_p(self):
+        # Entries drawn from a few values and their negatives, so that most
+        # labels have positive defect, then each label's canonical form.
+        rng = random.Random(211)
+        for t in ((1, 1, 997, 1), (2, 3, 997, 1), (3, 3, 211, 2), (4, 4, 7, 1), (5, 3, 11, 1)):
+            spec = TorusSpec(*t, cap=10**30)
+            for _ in range(300):
+                pool = [rng.randrange(spec.q) for _ in range(2)]
+                pool += [-v % spec.q for v in pool] + [0]
+                ev = ExponentVector(
+                    tuple(rng.choice(pool) for _ in range(spec.m)),
+                    tuple(rng.choice(pool) for _ in range(spec.n)),
+                )
+                yes, ref = verdicts(ev, spec)
+                assert yes == ref, (t, ev)
+                form = canonicalize(ev, spec).ev
+                assert verdicts(form, spec) == (True, True), (t, ev, form)
 
 
 class TestCanonicalize:
@@ -211,7 +259,7 @@ class TestCanonicalize:
         for t in SMALL_SPECS:
             spec = TorusSpec(*t)
             for ev in spec.labels():
-                if is_canonical(ev, spec):
+                if shape_is_canonical(ev, spec):
                     assert canonicalize(ev, spec).ev == ev
 
     def test_always_lands_on_canonical(self):
@@ -219,7 +267,7 @@ class TestCanonicalize:
             spec = TorusSpec(*t)
             for ev in spec.labels():
                 c = canonicalize(ev, spec)
-                assert is_canonical(c.ev, spec), (t, ev, c)
+                assert shape_is_canonical(c.ev, spec), (t, ev, c)
                 assert c.defect == defect(ev, spec)
 
     def test_membership_in_own_class(self):
@@ -323,6 +371,28 @@ class TestClasses:
         with pytest.raises(ValueError):
             enumerate_equivalence_class(tampered, spec)
 
+    def test_rejects_wrong_metadata(self):
+        # Each of these used to come back unchanged as `EquivClass.canonical`:
+        # (0 | 0) has defect 1 and e = f = 1 at p = 3, (1 | 1) has defect 0.
+        spec = TorusSpec(1, 1, 3, 1)
+        zero, one = ExponentVector((0,), (0,)), ExponentVector((1,), (1,))
+        assert canonicalize(zero, spec) == CanonicalLabel(zero, 1, 1, 1)
+        assert canonicalize(one, spec) == CanonicalLabel(one, 0)
+        for bad in (
+            CanonicalLabel(zero, 0),
+            CanonicalLabel(zero, 1, 1, 2),
+            CanonicalLabel(zero, True, 1, 1),
+            CanonicalLabel(zero, 1, 1.0, 1),
+            CanonicalLabel(one, 3, 7, 9),
+            CanonicalLabel(one, True),
+            CanonicalLabel(one, 0.0),
+        ):
+            with pytest.raises(ValueError, match="not canonical"):
+                enumerate_equivalence_class(bad, spec)
+        for ev in (zero, one):
+            c = canonicalize(ev, spec)
+            assert enumerate_equivalence_class(c, spec).canonical is c
+
     def test_rejects_a_bare_label(self):
         # A label is no canonical label: its `.ev` used to raise AttributeError.
         spec = TorusSpec(2, 1, 3, 1)
@@ -358,24 +428,7 @@ class TestEnumerateCanonical:
         assert len(enumerate_canonical(TorusSpec(1, 1, 3, 1))) == 7
         assert len(enumerate_canonical(TorusSpec(2, 1, 3, 1))) == 12
 
-    @pytest.mark.parametrize(
-        "t",
-        [
-            (1, 0, 2, 1),
-            (2, 0, 3, 1),
-            (3, 0, 2, 2),
-            (1, 1, 2, 1),
-            (2, 2, 2, 1),
-            (2, 1, 2, 2),
-            (1, 1, 2, 3),
-            (1, 2, 3, 2),
-            (3, 1, 3, 1),
-            (3, 2, 2, 1),
-            (3, 3, 2, 1),
-            (3, 3, 5, 1),
-            (2, 2, 3, 2),
-        ],
-    )
+    @pytest.mark.parametrize("t", SCAN_SPECS)
     def test_matches_scan(self, t):
         # label, defect, split indices and order all agree with the scan
         spec = TorusSpec(*t)

@@ -36,6 +36,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def spec_flags(m, n, p, r):
+    return ["--m", str(m), "--n", str(n), "--p", str(p), "--r", str(r)]
+
+
 def write_element(tmp_path, name, element):
     path = tmp_path / name
     path.write_text(element_to_json(element))
@@ -161,6 +165,19 @@ class TestCanonical:
         assert data["canonical"] == {"a": [1], "b": [0]}
         assert data["defect"] == 0
         assert data["e"] is None
+
+    @pytest.mark.parametrize(
+        "golden, flags",
+        [
+            ("canonical_2_2_3_1_defect1.json", (*spec_flags(2, 2, 3, 1), "1,2|2,0")),
+            ("canonical_1_1_2_2.json", (*spec_flags(1, 1, 2, 2), "3|3")),
+            ("canonical_2_2_3_1_defect0.json", (*spec_flags(2, 2, 3, 1), "2,1|0,0")),
+        ],
+    )
+    def test_output_matches_golden(self, capsys, golden, flags):
+        code, out, err = run(capsys, "canonical", *flags)
+        assert (code, err) == (0, "")
+        assert out == (DATA / golden).read_text()
 
     def test_invalid_tuple_exits_2(self, capsys):
         code, _, _ = run(
@@ -579,10 +596,6 @@ class TestMalformedInput:
         assert run(capsys, *args)[0] == 3
         path.write_text(json.dumps({"cap": 4}))
         assert run(capsys, *args)[0] == 0
-
-
-def spec_flags(m, n, p, r):
-    return ["--m", str(m), "--n", str(n), "--p", str(p), "--r", str(r)]
 
 
 M61 = 2**61 - 1  # a prime

@@ -737,6 +737,14 @@ class TestLabelView:
         for ev in (ExponentVector((-1,), (7,)), ExponentVector((3,), (1,)), ExponentVector((1,), ())):
             assert f.coefficient(ev) == 0
 
+    def test_coefficient_rejects_a_non_label(self):
+        # The pair of (1 | 1) used to read its coefficient 2, and a list
+        # raised TypeError from the dict lookup.
+        f = monomial(TorusSpec(1, 1, 3, 1), (1,), (1,), 2)
+        for bad in (((1,), (1,)), [1], None, 4):
+            with pytest.raises(ValueError, match="ExponentVector"):
+                f.coefficient(bad)
+
     def test_terms_view_is_read_only(self):
         spec = TorusSpec(2, 1, 3, 1)
         u, v = ExponentVector((1, 0), (2,)), ExponentVector((0, 2), (0,))

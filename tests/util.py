@@ -138,6 +138,55 @@ def matching_defect(ev, spec):
     return best
 
 
+def shape_is_canonical(ev, spec):
+    """Reference for `is_canonical`: walk the label and test the canonical
+    shape of the module docstring of `sstorus.canonical` directly, without
+    `_canonical_form`."""
+    p = spec.p
+    d = defect(ev, spec)
+    a, b = ev.a, ev.b
+    if d == 0:
+        return all(a[i] <= a[i + 1] for i in range(len(a) - 1)) and all(
+            b[j] <= b[j + 1] for j in range(len(b) - 1)
+        )
+
+    e = 0
+    while e < len(a) and a[e] == 0:
+        e += 1
+    if e == 0:
+        return False
+    tail_a = a[e:]
+    if not all(0 < v < p for v in tail_a):
+        return False
+    if any(tail_a[i] > tail_a[i + 1] for i in range(len(tail_a) - 1)):
+        return False
+
+    z = 0
+    while z < len(b) and b[z] == 0:
+        z += 1
+    if z == len(b):
+        f = len(b)
+        tail_b = ()
+    elif b[z] % p == 0:
+        f = z + 1
+        tail_b = b[z + 1 :]
+    elif z >= 1:
+        f = z
+        tail_b = b[z:]
+    else:
+        return False
+    if f < 1:
+        return False
+    if not all(0 < v < p for v in tail_b):
+        return False
+    if any(tail_b[i] > tail_b[i + 1] for i in range(len(tail_b) - 1)):
+        return False
+
+    if min(e, f) != d:
+        return False
+    return all((av + bv) % p for av in tail_a for bv in tail_b)
+
+
 def coeff_vectors(elements, labels):
     index = {ev: t for t, ev in enumerate(labels)}
     out = []
