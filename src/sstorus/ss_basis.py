@@ -3,7 +3,7 @@
 Three constructions produce supersymmetric elements: symmetrized special
 idempotents, the residue sums over all ordinary idempotents, and the class
 sums H attached to canonical labels; `class_sums` streams every H from one
-labelling of the labels by class.  The supersymmetric subspace is
+class table over the pairs of sorted blocks.  The supersymmetric subspace is
 recomputed from its defining linear constraints twice: `ss_nullspace_oracle`
 by exact Gaussian elimination, and `ss_component_oracle` by union-find,
 because in idempotent coordinates every constraint equates two coordinates.
@@ -52,23 +52,21 @@ DENSE_ORACLE_LIMIT = 512
 
 
 def _sorted_positions(q: int, k: int) -> list:
-    """For every block of `itertools.product(range(q), repeat=k)`, in that
-    order, the position of its sorted form in
-    `combinations_with_replacement(range(q), k)`."""
+    """For every block in `itertools.product(range(q), repeat=k)` order, the
+    position of its sorted form in `combinations_with_replacement(range(q), k)`."""
     index = {c: i for i, c in enumerate(itertools.combinations_with_replacement(range(q), k))}
     return [index[tuple(sorted(x))] for x in itertools.product(range(q), repeat=k)]
 
 
 def _class_labelling(spec: TorusSpec, canonical):
-    """The sorted flat indices `keys` of the `canonical` (a, b) pairs, and
-    the class labelling: for every label, in flat label order, the rank in
-    `keys` of its canonical form's flat index, or -1 if absent.  Both are
-    `array('q')`s, and the ranks follow lexicographic order.
+    """The sorted flat indices `keys` of the `canonical` (a, b) pairs, and the
+    class table: for every pair of sorted blocks, in lexicographic order, the
+    rank in `keys` of its canonical form's flat index, or -1 if absent.  Both
+    are `array('q')`s, and the ranks follow lexicographic order.
 
     The form depends only on the sorted blocks (defect zero sorts them; the
     unmatched residues and the total are multiset functions), so it is formed
-    once per pair of sorted blocks, C(q + m - 1, m) C(q + n - 1, n) times,
-    into one table row per sorted a block over all b blocks in flat order.
+    once per pair of sorted blocks, C(q + m - 1, m) C(q + n - 1, n) times.
     """
     m, n, p, q = spec.m, spec.n, spec.p, spec.q
     present = bytearray(spec.dimension)
@@ -81,15 +79,21 @@ def _class_labelling(spec: TorusSpec, canonical):
         return bisect_left(keys, t) if t >= 0 and present[t] else -1
 
     blocks = itertools.combinations_with_replacement
-    sb = _sorted_positions(q, n)
-    table = []
+    table = array("q")
     for a in blocks(range(q), m):
-        row = [rank(_canonical_form(a, b, p, q)) for b in blocks(range(q), n)]
-        table.append(array("q", map(row.__getitem__, sb)))
+        table += array("q", [rank(_canonical_form(a, b, p, q)) for b in blocks(range(q), n)])
+    return keys, table
+
+
+def _to_labels(spec: TorusSpec, per_pair) -> array:
+    """For every label, in flat order, the entry of `per_pair` (an array in
+    `_class_labelling`'s order of the pairs) at its sorted blocks."""
+    sb, width = _sorted_positions(spec.q, spec.n), comb(spec.q + spec.n - 1, spec.n)
     labelling = array("q")
-    for i in _sorted_positions(q, m):
-        labelling += table[i]
-    return keys, labelling
+    for i in _sorted_positions(spec.q, spec.m):
+        row = per_pair[i * width : (i + 1) * width]
+        labelling += array("q", map(row.__getitem__, sb))
+    return labelling
 
 
 def _grouped(labelling, size: int):
@@ -109,11 +113,10 @@ def _grouped(labelling, size: int):
     return members, offsets
 
 
-def _indicators(spec: TorusSpec, labelling, size: int) -> Iterator[TorusElement]:
-    """For each entry in range(size) that `labelling` takes, in increasing
-    order, the element with coefficient 1 at the labels of that entry."""
-    members, offsets = _grouped(labelling, size)
-    del labelling  # freed while the elements stream, if no caller holds it
+def _indicators(spec: TorusSpec, per_pair, size: int) -> Iterator[TorusElement]:
+    """For each entry in range(size) that `per_pair` takes, in increasing
+    order, the element with coefficient 1 at the labels whose pairs take it."""
+    members, offsets = _grouped(_to_labels(spec, per_pair), size)
     for c in range(size):
         lo, hi = offsets[c], offsets[c + 1]
         if lo < hi:
@@ -123,9 +126,9 @@ def _indicators(spec: TorusSpec, labelling, size: int) -> Iterator[TorusElement]
 def class_sums(spec: TorusSpec) -> Iterator[TorusElement]:
     """The class sum H of every canonical label, in `enumerate_canonical`
     order (coefficient 1 at each member, idempotent basis), with the classes
-    read from one labelling instead of closed by search."""
-    keys, labelling = _class_labelling(spec, (c.ev for c in enumerate_canonical(spec)))
-    return _indicators(spec, labelling, len(keys))
+    read from one class table instead of closed by search."""
+    keys, table = _class_labelling(spec, (c.ev for c in enumerate_canonical(spec)))
+    return _indicators(spec, table, len(keys))
 
 
 def build_special(ev: ExponentVector, spec: TorusSpec) -> TorusElement:
@@ -215,23 +218,33 @@ def ss_nullspace_oracle(spec: TorusSpec) -> list[TorusElement]:
     return [_element(spec, Basis.IDEMPOTENT, enumerate(vec)) for vec in basis_rows]
 
 
-def _label_components(spec: TorusSpec) -> array:
-    """Labelling of the flat label indices by the least label, or root, of
-    their component in the constraint graph of the supersymmetric subspace.
-
-    Edges join each label to its adjacent swaps within each block and, where
-    p divides a_1 + b_1, to beta - delta with delta = (+1 at x_1 | -1 at y_1)
-    mod q: the two-term equalities that the rows of `ss_nullspace_oracle`
-    amount to in idempotent coordinates.
+def _pair_components(spec: TorusSpec) -> array:
+    """For every pair (A | B) of sorted blocks, in `_class_labelling`'s
+    order, the position of the least pair, or root, of its component in the
+    graph of the two-term equalities that the rows of `ss_nullspace_oracle`
+    amount to in idempotent coordinates.  The swaps join each orbit of the
+    block permutations; the rows at p | a_1 + b_1 join (A | B) to the sorted
+    (A with one u -> u - 1 | B with one v -> v + 1) mod q for each u in A and
+    v in B with p | u + v.  The least pair's sorted form is the least label
+    of its component.
     """
     if spec.n < 1:
         raise ValueError("the supersymmetric subspace needs n >= 1")
-    m, p, q = spec.m, spec.p, spec.q
-    k = m + spec.n
-    weights = [q ** (k - 1 - s) for s in range(k)]
-    swaps = [(s, weights[s] - weights[s + 1]) for s in range(k - 1) if s != m - 1]
-    wx, wy = weights[0], weights[m]
-    parent = list(range(spec.dimension))
+    m, n, p, q = spec.m, spec.n, spec.p, spec.q
+
+    def moves(k: int, step: int) -> Iterator[dict]:
+        # every sorted block x: {u in x: position of x with one u -> u + step}
+        index = {x: i for i, x in enumerate(itertools.combinations_with_replacement(range(q), k))}
+        for x in index:
+            moved = {u: x[:s] + x[s + 1 :] + ((u + step) % q,) for s, u in enumerate(x)}
+            yield {u: index[tuple(sorted(y))] for u, y in moved.items()}
+
+    width = comb(q + n - 1, n)
+    ups = {}  # v mod p -> (j, l) for every B at j holding v, moved to B at l
+    for j, moved in enumerate(moves(n, 1)):
+        for v, l in moved.items():
+            ups.setdefault(v % p, []).append((j, l))
+    parent = array("q", range(comb(q + m - 1, m) * width))
 
     def find(t: int) -> int:
         while parent[t] != t:
@@ -239,26 +252,16 @@ def _label_components(spec: TorusSpec) -> array:
             t = parent[t]
         return t
 
-    def union(s: int, t: int):
-        rs, rt = find(s), find(t)
-        if rs < rt:
-            parent[rt] = rs
-        elif rt < rs:
-            parent[rs] = rt
-
-    for t, digits in enumerate(itertools.product(range(q), repeat=k)):
-        for s, w in swaps:
-            lo, hi = digits[s], digits[s + 1]
-            if lo < hi:
-                union(t, t + (hi - lo) * w)
-        a, b = digits[0], digits[m]
-        if (a + b) % p == 0:
-            union(t, t + ((a - 1) % q - a) * wx + ((b + 1) % q - b) * wy)
+    for i, moved in enumerate(moves(m, -1)):
+        for u, k in moved.items():
+            for j, l in ups.get(-u % p, ()):
+                rs, rt = find(i * width + j), find(k * width + l)
+                parent[max(rs, rt)] = min(rs, rt)
 
     # Roots link under smaller roots, so parent[t] <= t and one pass flattens.
     for t in range(len(parent)):
         parent[t] = parent[parent[t]]
-    return array("q", parent)
+    return parent
 
 
 def ss_component_oracle(spec: TorusSpec) -> list[TorusElement]:
@@ -269,7 +272,7 @@ def ss_component_oracle(spec: TorusSpec) -> list[TorusElement]:
     component indicators (coefficient 1, sorted by least label) span it;
     they are also the reduced echelon basis `ss_nullspace_oracle` returns.
     """
-    root = _label_components(spec)
+    root = _pair_components(spec)
     return list(_indicators(spec, root, len(root)))
 
 
@@ -374,28 +377,29 @@ def verify_basis(spec: TorusSpec) -> CountReport:
     agree with the closed-form count; the classes partition the label set;
     and for m = n = 1 the listed generators span the same space.
 
-    `_class_labelling` gives every label its class id, the rank of its
-    canonical form's flat index among the canonical labels', and the
-    component oracle, which always runs, gives every label its root: two
-    `array('q')` labellings, compared label by label in O(N).  An H is
-    supersymmetric exactly when it is constant on every component, and the
-    H span the oracle's space exactly when the classes are the components.
-    Up to `DENSE_ORACLE_MAX_N` labels the dense oracle and the rank and span
-    computations run as well, and the two oracles must agree.
+    `_class_labelling` gives every pair of sorted blocks its class id, the
+    rank of its canonical form's flat index among the canonical labels', and
+    the component oracle, which always runs, its root: both partitions are
+    unions of block-permutation orbits, so two `array('q')`s over the pairs
+    are compared pair by pair.  An H is supersymmetric exactly when it is
+    constant on every component, and the H span the oracle's space exactly
+    when the classes are the components.  Up to `DENSE_ORACLE_MAX_N` labels
+    the dense oracle, which must agree, and the rank and span checks run too.
     """
     # The component oracle rejects n = 0 before any label is visited.
-    root = _label_components(spec)
+    root = _pair_components(spec)
     failures = []
-    p, q, size = spec.p, spec.q, spec.dimension
-    keys, label_class = _class_labelling(spec, (s[:2] for s in _canonical_shapes(spec)))
-    # Each canonical label is its own form, so it lies in its own class.
-    partition_ok = all(label_class[t] == c for c, t in enumerate(keys))
-    seen = bytearray(len(keys) + 1)  # the last slot marks labels with no class
+    m, n, p, q, size = spec.m, spec.n, spec.p, spec.q, spec.dimension
+    keys, table = _class_labelling(spec, (s[:2] for s in _canonical_shapes(spec)))
+    # Each canonical label is its own form, so its pair lies in its class.
+    sa, sb, w, width = _sorted_positions(q, m), _sorted_positions(q, n), q**n, comb(q + n - 1, n)
+    partition_ok = all(table[sa[t // w] * width + sb[t % w]] == c for c, t in enumerate(keys))
+    seen = bytearray(len(keys) + 1)  # the last slot marks pairs with no class
     mixed = set()
-    for c, r in zip(label_class, root):
+    for c, r in zip(table, root):
         seen[c] = 1
-        if c != label_class[r]:
-            mixed |= {c, label_class[r]}
+        if c != table[r]:
+            mixed |= {c, table[r]}
     mixed.discard(-1)
     partition_ok = partition_ok and not seen[-1]
     if not partition_ok:
@@ -412,8 +416,9 @@ def verify_basis(spec: TorusSpec) -> CountReport:
     if size <= DENSE_ORACLE_MAX_N:
         oracles += ("dense",)
         dense = ss_nullspace_oracle(spec)
-        if dense != list(_indicators(spec, root, size)):
+        if dense != list(_indicators(spec, root, len(root))):
             failures.append("the dense and component oracles disagree")
+        label_class = _to_labels(spec, table)
         h_vecs = [[int(c == i) for c in label_class] for i in range(len(keys))]
         dense_vecs = [[o.coeffs.get(t, 0) for t in range(size)] for o in dense]
         independent = independent and fp_linalg.rank(h_vecs, p) == len(h_vecs)
@@ -433,8 +438,8 @@ def verify_basis(spec: TorusSpec) -> CountReport:
 
     gl11_ok = None
     if spec.m == 1 and spec.n == 1:
-        # The 0/1 supports are the components if each member's first support
-        # label is its root; -1 (in no support) and -2 (in two) are no roots.
+        # The 0/1 supports are the components if each member's first support label is
+        # its root, as pairs are labels here; -1 (in no support) and -2 (in two) are no roots.
         gen_root = array("q", [-1]) * size
         for s in _gl11_supports(p, q):
             for t in s:

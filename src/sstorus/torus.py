@@ -461,6 +461,8 @@ def element_from_dict(data: dict, cap: int = DEFAULT_CAP) -> TorusElement:
         raw = data["terms"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed element object: {exc}") from None
+    if unknown := sorted(data.keys() - {"m", "n", "p", "r", "basis", "terms"}):
+        raise ValueError(f"element keys {unknown} are unknown")
     if any(type(v) is not int for v in fields):
         raise ValueError(f"malformed element object: m, n, p, r must be integers, got {fields}")
     if type(raw) is not list:
@@ -478,9 +480,11 @@ def element_from_dict(data: dict, cap: int = DEFAULT_CAP) -> TorusElement:
             and type(b) is list
             and type(c) is int
             and set(map(type, a + b)) <= {int}
+            and entry.keys() == {"a", "b", "c"}
         ):
             raise ValueError(
                 f"malformed term {entry!r}: needs integer lists a, b and an integer c"
+                " and no other key"
             )
         ev = _pair(ExponentVector, (tuple(a), tuple(b)))  # entries checked above
         if not 0 < c < spec.p:

@@ -242,6 +242,16 @@ class TestBasis:
         assert code == 0
         assert out == (DATA / "basis_oracle_2_1_3_1.json").read_text()
 
+    # sha256 goldens of the component oracle above the dense threshold:
+    # 97,377 and 485,898 bytes
+    @pytest.mark.parametrize("t", [(2, 2, 5, 1), (3, 2, 5, 1)])
+    def test_oracle_output_matches_digest(self, capsys, t):
+        code, out, err = run(capsys, "basis", *spec_flags(*t), "--oracle")
+        assert (code, err) == (0, "")
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        golden = DATA / ("basis_oracle_%d_%d_%d_%d.sha256" % t)
+        assert f"{digest}  -\n" == golden.read_text()
+
     def test_class_sums_output_unchanged(self, capsys, monkeypatch):
         # golden output of the BFS route; the command reads the classes from
         # the class table and closes none by search
@@ -318,6 +328,8 @@ class TestVerify:
             ("verify_1_2_5_1.json", ("--m", "1", "--n", "2", "--p", "5", "--r", "1")),
             ("verify_grid_config.json",
              ("--grid", "--config", str(DATA / "verify_grid_config_in.json"))),
+            ("verify_4_4_5_1.json", ("--m", "4", "--n", "4", "--p", "5", "--r", "1")),
+            ("verify_4_4_7_1.json", ("--m", "4", "--n", "4", "--p", "7", "--r", "1")),
         ],
     )
     def test_output_matches_golden(self, capsys, golden, flags):

@@ -41,6 +41,8 @@ def element_cases(rng):
             if field == "c" and type(v) is int:
                 continue  # any int is a coefficient, reduced mod p
             cases[f"term.{field}={v!r}"] = json.dumps({**GOOD_ELEMENT, "terms": [{**GOOD_TERM, field: v}]})
+    cases["unknown-key"] = json.dumps({**GOOD_ELEMENT, "trems": []})
+    cases["term.unknown-key"] = json.dumps({**GOOD_ELEMENT, "terms": [{**GOOD_TERM, "C": 2}]})
     cases.update(broken_texts(GOOD_ELEMENT, rng))
     return cases
 

@@ -38,7 +38,7 @@ from sstorus.torus import (
     add,
     zero,
 )
-from util import build_H, coeff_vectors, divisibility_rows_by_element
+from util import _label_components, build_H, coeff_vectors, divisibility_rows_by_element
 
 
 class TestFpLinalg:
@@ -474,9 +474,22 @@ def bfs_classes(spec):
 
 def shape_labelling(spec):
     """`ss_basis._class_labelling` of the `_canonical_shapes`, as `verify`
-    builds it."""
+    builds it, with its table read out to every label by `_to_labels`."""
     shapes = (s[:2] for s in canonical._canonical_shapes(spec))
-    return ss_basis._class_labelling(spec, shapes)
+    keys, table = ss_basis._class_labelling(spec, shapes)
+    return keys, ss_basis._to_labels(spec, table)
+
+
+def verify_peak(spec):
+    """The tracemalloc peak, in bytes, of a passing `verify_basis(spec)`."""
+    tracemalloc.start()
+    try:
+        rep = verify_basis(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed, rep.failures
+    return peak
 
 
 def per_label_classes(spec):
@@ -601,21 +614,38 @@ class TestLabelClasses:
         # as ranks in one array('q') of flat indices cost under 50.  The spec
         # is small because tracemalloc slows verify about threefold.
         spec = TorusSpec(1, 1, 53, 1)
-        tracemalloc.start()
-        try:
-            rep = verify_basis(spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rep.passed, rep.failures
-        assert peak < 100 * spec.dimension
+        assert verify_peak(spec) < 100 * spec.dimension
+
+    def test_verify_memory_per_label_where_pairs_are_fewer(self):
+        # At (3,3,5,1) there are 1,225 pairs of sorted blocks for 15,625
+        # labels: both partitions and the union-find are held per pair, and
+        # only the bytearray that marks the canonical labels is per label.
+        spec = TorusSpec(3, 3, 5, 1)
+        assert verify_peak(spec) < 8 * spec.dimension
+
+
+def pair_flats(spec):
+    """The flat indices of the labels with both blocks sorted, increasing:
+    the pairs of sorted blocks in the order of `_class_labelling`'s table."""
+    return [
+        t for t, ev in enumerate(spec.labels())
+        if list(ev.a) == sorted(ev.a) and list(ev.b) == sorted(ev.b)
+    ]
+
+
+# (2,2,3,2) and (2,2,5,2) have many labels per pair; (3,3,3,1) and (3,2,5,1)
+# have three-element blocks.
+PAIR_SPECS = [t for t in LABELLING_SPECS if t[1] >= 1] + [
+    (2, 2, 3, 2), (3, 2, 5, 1), (3, 3, 3, 1), (2, 2, 5, 2),
+]
 
 
 class TestLabelComponents:
+    # the per-label reference in tests/util.py
     @pytest.mark.parametrize("t", [t for t in LABELLING_SPECS if t[1] >= 1])
     def test_roots_are_least_labels_of_the_bfs_classes(self, t):
         spec = TorusSpec(*t)
-        root = ss_basis._label_components(spec)
+        root = _label_components(spec)
         assert len(root) == spec.dimension
         assert all(root[s] <= s and root[root[s]] == root[s] for s in range(len(root)))
         assert list(blocks(root).values()) == sorted(bfs_classes(spec))
@@ -625,7 +655,21 @@ class TestLabelComponents:
         spec = TorusSpec(*t)
         index = {ev: i for i, ev in enumerate(spec.labels())}
         supports = [sorted(index[ev] for ev in o.terms) for o in ss_nullspace_oracle(spec)]
-        assert list(blocks(ss_basis._label_components(spec)).values()) == supports
+        root = ss_basis._to_labels(spec, ss_basis._pair_components(spec))
+        assert list(blocks(root).values()) == supports
+
+    @pytest.mark.parametrize("t", PAIR_SPECS)
+    def test_pair_roots_broadcast_to_the_label_roots(self, t):
+        spec = TorusSpec(*t)
+        root = ss_basis._pair_components(spec)
+        flats = pair_flats(spec)
+        assert isinstance(root, array) and root.typecode == "q"
+        assert len(root) == len(flats) == comb(spec.q + spec.m - 1, spec.m) * comb(
+            spec.q + spec.n - 1, spec.n
+        )
+        assert all(root[s] <= s and root[root[s]] == root[s] for s in range(len(root)))
+        labelled = ss_basis._to_labels(spec, root)
+        assert [flats[r] for r in labelled] == list(_label_components(spec))
 
 
 def corrupt_one_class(monkeypatch, spec, mode):
@@ -734,3 +778,61 @@ class TestVerifyBasisCatchesGl11Corruption:
         assert capsys.readouterr().err == (
             f"FAIL {spec}: rank-(1|1) generators do not span the oracle space\n"
         )
+
+
+def corrupt_components(monkeypatch, mode):
+    """Make `verify_basis` see wrong component roots: the first entry that is
+    not a root becomes a root of its own ("split"), or the component of the
+    second root joins the first ("merge")."""
+    original = ss_basis._pair_components
+
+    def corrupted(spec):
+        root = original(spec)
+        if mode == "split":
+            s = next(s for s, r in enumerate(root) if r != s)
+            root[s] = s
+        else:
+            first, second = [s for s, r in enumerate(root) if r == s][:2]
+            for s, r in enumerate(root):
+                if r == second:
+                    root[s] = first
+        return root
+
+    monkeypatch.setattr(ss_basis, "_pair_components", corrupted)
+
+
+# The failures of each component corruption mode, pinned from the union-find
+# over every label: a split root adds a dimension, a merge removes one and
+# mixes the classes of the first two roots.
+DISAGREE = "the dense and component oracles disagree"
+COMPONENT_FAILURES = {
+    ((2, 1, 5, 1), "split"): [SPAN, "oracle dimension 56 differs from closed form 55"],
+    ((2, 1, 5, 1), "merge"): NOT_SS + [SPAN, "oracle dimension 54 differs from closed form 55"],
+    ((2, 1, 3, 1), "split"): [DISAGREE, SPAN, "oracle dimension 13 differs from closed form 12"],
+    ((2, 1, 3, 1), "merge"): NOT_SS + [
+        DISAGREE, SPAN, "oracle dimension 11 differs from closed form 12"
+    ],
+    ((2, 2, 5, 1), "split"): [SPAN, "oracle dimension 132 differs from closed form 131"],
+    ((2, 2, 5, 1), "merge"): [
+        "class sum at (0,0|0,0) is not supersymmetric",
+        "class sum at (0,0|0,1) is not supersymmetric",
+        SPAN,
+        "oracle dimension 130 differs from closed form 131",
+    ],
+}
+
+
+class TestVerifyBasisCatchesComponentCorruption:
+    # (2,1,3,1) runs the dense oracle too; (2,2,5,1) has several labels per pair
+    @pytest.mark.parametrize("t, mode", COMPONENT_FAILURES)
+    def test_reports_failure(self, monkeypatch, capsys, t, mode):
+        spec = TorusSpec(*t)
+        expected = COMPONENT_FAILURES[t, mode]
+        corrupt_components(monkeypatch, mode)
+        rep = verify_basis(spec)
+        assert rep.failures == expected
+        assert (rep.partition_ok, rep.h_basis_ok) == (True, False)
+        assert rep.oracle_dim == dim_closed_form(spec) + (1 if mode == "split" else -1)
+        argv = ["verify"] + [f"--{k}={v}" for k, v in zip("mnpr", t)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "".join(f"FAIL {spec}: {f}\n" for f in expected)

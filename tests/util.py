@@ -2,6 +2,7 @@
 independent brute-force oracles the library is checked against."""
 
 import itertools
+from array import array
 from math import comb
 
 from sstorus.canonical import (
@@ -116,6 +117,54 @@ def divisibility_rows_by_element(spec, i, j):
         ph = phi(idempotent_h(spec, ev), i, j)
         images.append([evaluate_point(ph, beta) for beta in bad])
     return [list(row) for row in zip(*images)]
+
+
+# Reference for `ss_basis._pair_components`: the same union-find run over
+# every label instead of over the pairs of sorted blocks.
+def _label_components(spec: TorusSpec) -> array:
+    """Labelling of the flat label indices by the least label, or root, of
+    their component in the constraint graph of the supersymmetric subspace.
+
+    Edges join each label to its adjacent swaps within each block and, where
+    p divides a_1 + b_1, to beta - delta with delta = (+1 at x_1 | -1 at y_1)
+    mod q: the two-term equalities that the rows of `ss_nullspace_oracle`
+    amount to in idempotent coordinates.
+    """
+    if spec.n < 1:
+        raise ValueError("the supersymmetric subspace needs n >= 1")
+    m, p, q = spec.m, spec.p, spec.q
+    k = m + spec.n
+    weights = [q ** (k - 1 - s) for s in range(k)]
+    swaps = [(s, weights[s] - weights[s + 1]) for s in range(k - 1) if s != m - 1]
+    wx, wy = weights[0], weights[m]
+    parent = list(range(spec.dimension))
+
+    def find(t: int) -> int:
+        while parent[t] != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        return t
+
+    def union(s: int, t: int):
+        rs, rt = find(s), find(t)
+        if rs < rt:
+            parent[rt] = rs
+        elif rt < rs:
+            parent[rs] = rt
+
+    for t, digits in enumerate(itertools.product(range(q), repeat=k)):
+        for s, w in swaps:
+            lo, hi = digits[s], digits[s + 1]
+            if lo < hi:
+                union(t, t + (hi - lo) * w)
+        a, b = digits[0], digits[m]
+        if (a + b) % p == 0:
+            union(t, t + ((a - 1) % q - a) * wx + ((b + 1) % q - b) * wy)
+
+    # Roots link under smaller roots, so parent[t] <= t and one pass flattens.
+    for t in range(len(parent)):
+        parent[t] = parent[parent[t]]
+    return array("q", parent)
 
 
 def matching_defect(ev, spec):
