@@ -13,10 +13,11 @@ its evaluation at that integer point (C(x, k) evaluated at v is C(v, k)).
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import lru_cache
-from itertools import repeat
+from itertools import compress
 from math import comb
-from operator import add, mul
 
 from .torus import (
     Basis,
@@ -27,6 +28,10 @@ from .torus import (
     _require_basis,
     _require_same_spec,
 )
+
+# The change of basis reduces its 64-bit fields mod p before any pass whose
+# result could reach this.
+_FIELD_LIMIT = 1 << 64
 
 
 @lru_cache(maxsize=8)
@@ -100,39 +105,38 @@ def _digit_tables(p: int):
     return tuple(map(tuple, B)), tuple(map(tuple, B_inv))
 
 
-def _change_basis(f: TorusElement, table: tuple, basis: Basis) -> TorusElement:
-    """Multiply the coefficients of f by the Kronecker power of the p x p
-    `table` over all (m+n) r base-p digits of the labels (Yates's algorithm).
+def _change_basis(f: TorusElement, basis: Basis) -> TorusElement:
+    """Re-express f in `basis` by the Kronecker power of its p x p digit table
+    over all (m+n) r base-p digits of the labels (Yates's algorithm).
 
-    The flat index of a label (v_1..v_(m+n)), sum_s v_s q^(m+n-1-s), has the
-    base-p digits of its entries because q = p^r.  By Lucas's
-    theorem C(v, k) mod p is the product of its digit binomials, so the
-    mod-p Pascal matrix on [0, q)^(m+n), and its inverse, factor into one
-    pass per digit.  A pass maps the dense list of all N coefficients
-    through `table` on the lowest digit and puts the new digit on top (a
-    perfect shuffle), so the digits end in place.  A pass skips the slices
-    that are all zero and costs O(N) per live one; with every slice live, as
-    a sparse f at small p soon has, it is (p+1)/2 terms per entry.  Memory O(N).
-    """
-    spec = f.spec
-    p = spec.p
-    vec = [0] * spec.dimension
+    The flat index of a label has the base-p digits of its entries, q = p^r,
+    and by Lucas's theorem the mod-p Pascal matrix on [0, q)^(m+n) and its
+    inverse factor into one pass per digit.  The N coefficients are 64-bit
+    fields of one array; a pass reads each lowest-digit slice as one int,
+    sums table entries times the nonzero slices into each output digit's
+    slice and puts that digit on top, so the digits end in place.  A running
+    bound reduces the fields mod p before any pass could reach _FIELD_LIMIT,
+    and a p with (p-1)^2 p >= 2^64 is refused.  Memory O(N)."""
+    spec, p = f.spec, f.spec.p
+    if (p - 1) ** 2 * p >= 1 << 64:
+        raise ValueError(f"p = {p} is too large for 64-bit fields in the change of basis")
+    table = _digit_tables(p)[basis is Basis.BINOMIAL]
+    growth, bound = max(map(sum, table)), p - 1
+    vec = array("Q", [0]) * spec.dimension
+    assert vec.itemsize == 8
     for t, c in f.coeffs.items():
         vec[t] = c
-    rows = [[(d, w) for d, w in enumerate(row) if w] for row in table]
-    zero = [0] * (spec.dimension // p)
+    size, order = vec.itemsize * spec.dimension // p, sys.byteorder
     for _ in range((spec.m + spec.n) * spec.r):
-        # cols[d][t]: lowest digit d, the rest t; None if all zero, and skipped
-        cols = [c if any(c) else None for c in (vec[d::p] for d in range(p))]
-        vec = []
-        for row in rows:  # output digit e, in order, becomes the top
-            acc = zero
-            for d, w in row:
-                if cols[d]:
-                    prod = cols[d] if w == 1 else map(mul, cols[d], repeat(w))
-                    acc = prod if acc is zero else list(map(add, acc, prod))
-            vec += [x % p for x in acc]
-    return _element(spec, basis, enumerate(vec))
+        if bound * growth >= _FIELD_LIMIT:
+            vec, bound = array("Q", [x % p for x in vec]), p - 1
+        bound *= growth
+        cols = [int.from_bytes(vec[d::p], order) for d in range(p)]
+        vec = array("Q")
+        for row in table:  # output digit e, in order, becomes the top
+            acc = sum([c if w == 1 else w * c for w, c in zip(row, cols) if w and c])
+            vec.frombytes(acc.to_bytes(size, order))
+    return _element(spec, basis, compress(enumerate(vec), vec))
 
 
 def to_idempotent_basis(f: TorusElement) -> TorusElement:
@@ -143,14 +147,14 @@ def to_idempotent_basis(f: TorusElement) -> TorusElement:
     label: the map is the Pascal matrix C(v, k) mod p.
     """
     _require_basis(f, Basis.BINOMIAL)
-    return _change_basis(f, _digit_tables(f.spec.p)[0], Basis.IDEMPOTENT)
+    return _change_basis(f, Basis.IDEMPOTENT)
 
 
 def from_idempotent_basis(f: TorusElement) -> TorusElement:
     """Sum the binomial expansions of the idempotents: the inverse Pascal
     matrix (-1)^(k-a) C(k, a) mod p, the coefficients of X_a."""
     _require_basis(f, Basis.IDEMPOTENT)
-    return _change_basis(f, _digit_tables(f.spec.p)[1], Basis.BINOMIAL)
+    return _change_basis(f, Basis.BINOMIAL)
 
 
 def multiply_idempotent_basis(f: TorusElement, g: TorusElement) -> TorusElement:

@@ -438,13 +438,17 @@ def verify_basis(spec: TorusSpec) -> CountReport:
 
     gl11_ok = None
     if spec.m == 1 and spec.n == 1:
-        # The 0/1 supports are the components if each member's first support label is
-        # its root, as pairs are labels here; -1 (in no support) and -2 (in two) are no roots.
-        gen_root = array("q", [-1]) * size
+        # The 0/1 supports are the components if every member's root, as pairs are
+        # labels here, is the support's first label, no label is in two supports and
+        # the sizes sum to N.  A checked member's root becomes -1, so a second visit
+        # fails; nothing reads `root` after this.
+        gl11_ok, total = True, 0
         for s in _gl11_supports(p, q):
             for t in s:
-                gen_root[t] = s[0] if gen_root[t] == -1 else -2
-        gl11_ok = gen_root == root
+                gl11_ok = gl11_ok and root[t] == s[0]
+                root[t] = -1
+            total += len(s)
+        gl11_ok = gl11_ok and total == size
         if "dense" in oracles:
             gen_vecs = [[int(t in s) for t in range(size)] for s in _gl11_supports(p, q)]
             gl11_ok = gl11_ok and fp_linalg.same_row_space(gen_vecs, dense_vecs, p)

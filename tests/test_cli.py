@@ -723,6 +723,20 @@ def test_check_ss_large_p_is_fast(tmp_path, term, code):
     assert json.loads(proc.stdout) == {"supersymmetric": code == 0}
 
 
+def test_check_ss_p_too_large_for_fields_exits_2(tmp_path):
+    """`--check-ss` at p = 2,642,257, with the cap raised past N = p^2, exits
+    2 at once, in a child limited to 2 GB: one pass of the change of basis
+    could overflow a 64-bit field, so it is refused before the p x p digit
+    table is built."""
+    path = tmp_path / "one.json"
+    path.write_text(element_json(p=2642257, terms=[{"a": [0], "b": [0], "c": 1}]))
+    proc = run_gated(["verify", "--check-ss", str(path), "--cap", str(10**13)])
+    assert proc.returncode == 2, proc.stderr
+    assert "too large for 64-bit fields" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 class TestDeterminism:
     def test_identical_invocations_byte_identical(self, capsys):
         argvs = [

@@ -1,13 +1,18 @@
+import hashlib
 import random
+import time
+from array import array
 from functools import reduce
 from math import comb
 from pathlib import Path
 
 import pytest
 
+from sstorus import idempotents
 from sstorus.cli import DEFAULT_GRID
 from sstorus.idempotents import (
     _binomial_table,
+    _change_basis,
     _digit_tables,
     evaluate_point,
     from_idempotent_basis,
@@ -15,12 +20,14 @@ from sstorus.idempotents import (
     multiply_idempotent_basis,
     to_idempotent_basis,
 )
+from sstorus.modp import _require_prime
 from sstorus.torus import (
     Basis,
     ExponentVector,
     MismatchError,
     TorusElement,
     TorusSpec,
+    _element,
     add,
     element_from_json,
     element_to_json,
@@ -29,8 +36,10 @@ from sstorus.torus import (
     scale,
     zero,
 )
+from test_output_digest import SPECS as DIGEST_SPECS
 from util import (
     binom_mod_p,
+    change_basis_by_lists,
     from_idempotent_by_h,
     idempotent_univariate,
     multiply_by_coordinate,
@@ -297,6 +306,97 @@ class TestGoldens:
         assert len(f.terms) == f.spec.dimension
         out = element_to_json(change(f)) + "\n"
         assert out == (DATA / f"{name}_2_1_3_2.json").read_text()
+
+    def test_large_p_change_of_basis_matches_digest(self):
+        # C(x,331) C(y,970) at (1,1,997,1), N = 994,009: 666 x 27 = 17,982
+        # nonzero values, and back; the goldens are sha256s
+        f = element_from_json((DATA / "to_idem_1_1_997_1_in.json").read_text())
+        coords = to_idempotent_basis(f)
+        assert len(coords.coeffs) == 17982
+        for name, g in (("to_idem", coords), ("from_idem", from_idempotent_basis(coords))):
+            digest = hashlib.sha256((element_to_json(g) + "\n").encode()).hexdigest()
+            assert f"{digest}  -\n" == (DATA / f"{name}_1_1_997_1.sha256").read_text(), name
+        assert from_idempotent_basis(coords) == f
+
+
+# Every spec of the output digest and three larger primes; a dense (2,2,5,2)
+# is checked with all N terms only.
+PACKED_SPECS = DIGEST_SPECS + [(1, 1, 97, 1), (1, 1, 211, 1), (1, 0, 1009, 1)]
+
+
+def packed_cases(spec, sizes, seed):
+    """Seeded elements of both bases with each number of terms in `sizes`,
+    clipped to [1, N], with the basis and the digit table they change to."""
+    rng = random.Random(seed)
+    N, p = spec.dimension, spec.p
+    B, B_inv = _digit_tables(p)
+    changes = ((Basis.BINOMIAL, Basis.IDEMPOTENT, B), (Basis.IDEMPOTENT, Basis.BINOMIAL, B_inv))
+    for size in sizes:
+        for source, target, table in changes:
+            support = rng.sample(range(N), min(max(size, 1), N))
+            yield _element(spec, source, [(t, rng.randrange(1, p)) for t in support]), target, table
+
+
+class TestPackedAgainstLists:
+    """The passes over packed 64-bit fields against the same passes over
+    Python lists, reduced mod p after each one (`change_basis_by_lists`)."""
+
+    @pytest.mark.parametrize("t", PACKED_SPECS + [(2, 2, 5, 2)])
+    def test_matches_list_passes(self, monkeypatch, t):
+        spec = TorusSpec(*t)
+        N = spec.dimension
+        sizes = (N,) if t == (2, 2, 5, 2) else (1, 8, N // 8, N)
+        for f, target, table in packed_cases(spec, sizes, seed=sum(t) * 101):
+            expected = change_basis_by_lists(f, table, target)
+            assert _change_basis(f, target) == expected, (t, len(f.coeffs), target)
+            # a limit of 2^16 makes the fields reduce mod p between passes
+            with monkeypatch.context() as patched:
+                patched.setattr(idempotents, "_FIELD_LIMIT", 1 << 16)
+                assert _change_basis(f, target) == expected, (t, len(f.coeffs), target)
+
+    # one pass from reduced fields stays below 2^16 at these p
+    @pytest.mark.parametrize("t", [(1, 1, 7, 2), (1, 1, 13, 2), (2, 2, 5, 2)])
+    def test_lowered_limit_bounds_every_field(self, monkeypatch, t):
+        # "pass" starts an output vector; "fill" is the start vector or the
+        # reduction mod p of the last pass's output
+        calls = []
+        fields = []  # the largest field of each output slice
+
+        class Recording(array):
+            def frombytes(self, data):
+                super().frombytes(data)
+                fields.append(max(self[len(self) - len(data) // self.itemsize :]))
+
+        def recording(typecode, *init):
+            calls.append("fill" if init else "pass")
+            return Recording(typecode, *init)
+
+        monkeypatch.setattr(idempotents, "array", recording)
+        monkeypatch.setattr(idempotents, "_FIELD_LIMIT", 1 << 16)
+        spec = TorusSpec(*t)
+        for f, target, table in packed_cases(spec, (8,), seed=7):
+            calls.clear()
+            assert _change_basis(f, target) == change_basis_by_lists(f, table, target)
+            assert calls.count("pass") == (spec.m + spec.n) * spec.r
+            assert calls[0] == "fill" and "pass,fill" in ",".join(calls), (t, target, calls)
+        assert 0 < max(fields) < 1 << 16
+
+    def test_refuses_a_prime_whose_pass_could_overflow(self):
+        # the least prime above 2,642,245; 2,642,246 is the largest p with
+        # (p-1)^2 p < 2^64, so every larger prime is refused
+        P = 2642257
+        for n in range(2642246, P):
+            with pytest.raises(ValueError):
+                _require_prime(n)
+        assert (P - 1) ** 2 * P >= 1 << 64 > 2642245**2 * 2642246
+        assert 2642246**2 * 2642247 >= 1 << 64
+        spec = TorusSpec(1, 0, P, 1)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="too large for 64-bit fields"):
+            to_idempotent_basis(one(spec))
+        with pytest.raises(ValueError, match="too large for 64-bit fields"):
+            from_idempotent_basis(TorusElement(spec, Basis.IDEMPOTENT, {ExponentVector((5,), ()): 1}))
+        assert time.perf_counter() - start < 1
 
 
 class TestBinomialTable:

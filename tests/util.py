@@ -2,7 +2,9 @@
 independent brute-force oracles the library is checked against."""
 
 import itertools
+import operator
 from array import array
+from itertools import repeat
 from math import comb
 
 from sstorus.canonical import (
@@ -20,6 +22,7 @@ from sstorus.torus import (
     ExponentVector,
     TorusElement,
     TorusSpec,
+    _element,
     add,
     element_to_dict,
     multiply,
@@ -102,6 +105,44 @@ def from_idempotent_by_h(f):
         for ev, ch in idempotent_h(f.spec, label).terms.items():
             acc[ev] = acc.get(ev, 0) + c * ch
     return TorusElement(f.spec, Basis.BINOMIAL, acc)
+
+
+# Reference for `idempotents._change_basis`: the same Yates passes over a
+# Python list, reducing every entry mod p after each pass.  Only `operator.`
+# was added, so that the names do not clash with `torus.add`.
+def change_basis_by_lists(f: TorusElement, table: tuple, basis: Basis) -> TorusElement:
+    """Multiply the coefficients of f by the Kronecker power of the p x p
+    `table` over all (m+n) r base-p digits of the labels (Yates's algorithm).
+
+    The flat index of a label (v_1..v_(m+n)), sum_s v_s q^(m+n-1-s), has the
+    base-p digits of its entries because q = p^r.  By Lucas's
+    theorem C(v, k) mod p is the product of its digit binomials, so the
+    mod-p Pascal matrix on [0, q)^(m+n), and its inverse, factor into one
+    pass per digit.  A pass maps the dense list of all N coefficients
+    through `table` on the lowest digit and puts the new digit on top (a
+    perfect shuffle), so the digits end in place.  A pass skips the slices
+    that are all zero and costs O(N) per live one; with every slice live, as
+    a sparse f at small p soon has, it is (p+1)/2 terms per entry.  Memory O(N).
+    """
+    spec = f.spec
+    p = spec.p
+    vec = [0] * spec.dimension
+    for t, c in f.coeffs.items():
+        vec[t] = c
+    rows = [[(d, w) for d, w in enumerate(row) if w] for row in table]
+    zero = [0] * (spec.dimension // p)
+    for _ in range((spec.m + spec.n) * spec.r):
+        # cols[d][t]: lowest digit d, the rest t; None if all zero, and skipped
+        cols = [c if any(c) else None for c in (vec[d::p] for d in range(p))]
+        vec = []
+        for row in rows:  # output digit e, in order, becomes the top
+            acc = zero
+            for d, w in row:
+                if cols[d]:
+                    prod = cols[d] if w == 1 else map(operator.mul, cols[d], repeat(w))
+                    acc = prod if acc is zero else list(map(operator.add, acc, prod))
+            vec += [x % p for x in acc]
+    return _element(spec, basis, enumerate(vec))
 
 
 def divisibility_rows_by_element(spec, i, j):
