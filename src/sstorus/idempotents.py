@@ -132,10 +132,11 @@ def _change_basis(f: TorusElement, basis: Basis) -> TorusElement:
             vec, bound = array("Q", [x % p for x in vec]), p - 1
         bound *= growth
         cols = [int.from_bytes(vec[d::p], order) for d in range(p)]
-        vec = array("Q")
-        for row in table:  # output digit e, in order, becomes the top
-            acc = sum([c if w == 1 else w * c for w, c in zip(row, cols) if w and c])
-            vec.frombytes(acc.to_bytes(size, order))
+        out = memoryview(vec).cast("B")  # vec is in cols, so the output overwrites it
+        for e, row in enumerate(table):  # output digit e becomes the top
+            out[e * size : (e + 1) * size] = sum(
+                [c if w == 1 else w * c for w, c in zip(row, cols) if w and c]
+            ).to_bytes(size, order)
     return _element(spec, basis, compress(enumerate(vec), vec))
 
 

@@ -3,6 +3,7 @@ import random
 import time
 from array import array
 from functools import reduce
+from itertools import compress
 from math import comb
 from pathlib import Path
 
@@ -357,28 +358,38 @@ class TestPackedAgainstLists:
     # one pass from reduced fields stays below 2^16 at these p
     @pytest.mark.parametrize("t", [(1, 1, 7, 2), (1, 1, 13, 2), (2, 2, 5, 2)])
     def test_lowered_limit_bounds_every_field(self, monkeypatch, t):
-        # "pass" starts an output vector; "fill" is the start vector or the
-        # reduction mod p of the last pass's output
-        calls = []
-        fields = []  # the largest field of each output slice
+        # Each pass writes its output through one `memoryview` of the vector,
+        # taken once the input is read; `compress` reads the last output.  In
+        # order, "fill" is the start vector or a reduction mod p.
+        events, fields = [], []
 
-        class Recording(array):
-            def frombytes(self, data):
-                super().frombytes(data)
-                fields.append(max(self[len(self) - len(data) // self.itemsize :]))
+        def seen(kind, vec):
+            events.append(kind)
+            fields.append(max(vec))
 
-        def recording(typecode, *init):
-            calls.append("fill" if init else "pass")
-            return Recording(typecode, *init)
+        def filling(typecode, init):
+            events.append("fill")
+            return array(typecode, init)
 
-        monkeypatch.setattr(idempotents, "array", recording)
+        def writing(vec):
+            seen("pass", vec)
+            return memoryview(vec)
+
+        def emitting(data, vec):
+            seen("end", vec)
+            return compress(data, vec)
+
+        monkeypatch.setattr(idempotents, "array", filling)
+        monkeypatch.setattr(idempotents, "memoryview", writing, raising=False)
+        monkeypatch.setattr(idempotents, "compress", emitting)
         monkeypatch.setattr(idempotents, "_FIELD_LIMIT", 1 << 16)
         spec = TorusSpec(*t)
         for f, target, table in packed_cases(spec, (8,), seed=7):
-            calls.clear()
+            events.clear()
             assert _change_basis(f, target) == change_basis_by_lists(f, table, target)
-            assert calls.count("pass") == (spec.m + spec.n) * spec.r
-            assert calls[0] == "fill" and "pass,fill" in ",".join(calls), (t, target, calls)
+            assert events.count("pass") == (spec.m + spec.n) * spec.r
+            assert events[0] == "fill" and events[-1] == "end", events
+            assert "pass,fill" in ",".join(events), (t, target, events)
         assert 0 < max(fields) < 1 << 16
 
     def test_refuses_a_prime_whose_pass_could_overflow(self):
