@@ -779,7 +779,9 @@ def corrupt_gl11_supports(monkeypatch, mode):
 class TestVerifyBasisCatchesGl11Corruption:
     # (1,1,11,1) runs only the component oracle, (1,1,3,1) the dense one too
     @pytest.mark.parametrize("t", [(1, 1, 11, 1), (1, 1, 3, 1)])
-    @pytest.mark.parametrize("mode", ["merge", "split", "twice", "drop", "merge-singles", "repeat"])
+    @pytest.mark.parametrize(
+        "mode", ["merge", "split", "twice", "drop", "merge-singles", "repeat"]
+    )
     def test_reports_failure(self, monkeypatch, capsys, t, mode):
         spec = TorusSpec(*t)
         corrupt_gl11_supports(monkeypatch, mode)
