@@ -2,7 +2,7 @@
 construction and the verification driver, all emitting JSON on stdout.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input, 3 label cap
-exceeded.
+exceeded or memory exhausted.
 """
 
 from __future__ import annotations
@@ -279,8 +279,8 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args)
         return args.func(args, config, _effective_cap(args, config))
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CapExceededError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAP
     except (MismatchError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

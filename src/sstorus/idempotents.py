@@ -94,48 +94,59 @@ def evaluate_point(f: TorusElement, point: ExponentVector) -> int:
     return total
 
 
-@lru_cache(maxsize=4)
-def _digit_tables(p: int):
-    """(B, B_inv) with B[v][k] = C(v, k) and B_inv[k][a] = (-1)^(k-a) C(k, a)
-    mod p for digits in [0, p), mutually inverse, built by Pascal's rule."""
-    B = [[1] + [0] * (p - 1)]
-    for _ in range(1, p):
-        B.append([1] + [(x + y) % p for x, y in zip(B[-1], B[-1][1:])])
-    B_inv = [[(-c if (k - a) & 1 else c) % p for a, c in enumerate(row)] for k, row in enumerate(B)]
-    return tuple(map(tuple, B)), tuple(map(tuple, B_inv))
+# The most work `_change_basis` takes on: fields times the product terms that
+# form them.  A dense element at (1,1,997,1) is 9.9e8 each way and takes 6-9 s
+# (Python 3.11, shared 2-core x86 host); a dense one at (1,1,3001,1) is 1.35e10.
+MAX_CHANGE_WORK = 2 * 10**9
 
 
 def _change_basis(f: TorusElement, basis: Basis) -> TorusElement:
-    """Re-express f in `basis` by the Kronecker power of its p x p digit table
-    over all (m+n) r base-p digits of the labels (Yates's algorithm).
+    """Re-express f in `basis` by the Kronecker power of the Pascal map on one
+    base-p digit, over all (m+n) r digits of the labels (Yates's algorithm).
 
     The flat index of a label has the base-p digits of its entries, q = p^r,
     and by Lucas's theorem the mod-p Pascal matrix on [0, q)^(m+n) and its
-    inverse factor into one pass per digit.  The N coefficients are 64-bit
-    fields of one array; a pass reads each lowest-digit slice as one int,
-    sums table entries times the nonzero slices into each output digit's
-    slice and puts that digit on top, so the digits end in place.  A running
-    bound reduces the fields mod p before any pass could reach _FIELD_LIMIT,
-    and a p with (p-1)^2 p >= 2^64 is refused.  Memory O(N)."""
+    inverse factor into one pass per digit.  The map sends digit d to each
+    e >= d with weight s^(e-d) e!/(d! (e-d)!) mod p, s = 1 towards idempotent
+    coordinates and -1 back, from two length-p factorial lists.  The N
+    coefficients are 64-bit fields of one array; a pass reads each lowest-digit
+    slice as one int, sums weights times the nonzero slices into each output
+    digit's slice and puts that digit on top, so the digits end in place.  A
+    running bound reduces the fields mod p before any pass could reach
+    _FIELD_LIMIT.  A p with (p-1)^2 p >= 2^64 is refused, and so is a call
+    whose work, the sum of p - d over the live d of each pass times N/p,
+    passes MAX_CHANGE_WORK.  Memory O(N + p)."""
     spec, p = f.spec, f.spec.p
     if (p - 1) ** 2 * p >= 1 << 64:
         raise ValueError(f"p = {p} is too large for 64-bit fields in the change of basis")
-    table = _digit_tables(p)[basis is Basis.BINOMIAL]
-    growth, bound = max(map(sum, table)), p - 1
+    # fact[k] = s^k k! and inv[k] = 1/k!, so the weight of d in e is
+    # fact[e] (fact[d] inv[d]^2) inv[e-d], as s^(e-d) = s^e s^d; (p-1)! = -1.
+    s = 1 if basis is Basis.IDEMPOTENT else p - 1
+    fact, inv = [1] * p, [1] * (p - 1) + [p - 1]
+    for k in range(1, p):
+        fact[k] = fact[k - 1] * k * s % p
+        inv[p - k - 1] = inv[p - k] * (p - k) % p
     vec = array("Q", [0]) * spec.dimension
     assert vec.itemsize == 8
     for t, c in f.coeffs.items():
         vec[t] = c
-    size, order = vec.itemsize * spec.dimension // p, sys.byteorder
+    width = spec.dimension // p  # the fields of one slice
+    size, order = vec.itemsize * width, sys.byteorder
+    growth, bound, work = p * (p - 1), p - 1, 0
     for _ in range((spec.m + spec.n) * spec.r):
         if bound * growth >= _FIELD_LIMIT:
             vec, bound = array("Q", [x % p for x in vec]), p - 1
         bound *= growth
-        cols = [int.from_bytes(vec[d::p], order) for d in range(p)]
-        out = memoryview(vec).cast("B")  # vec is in cols, so the output overwrites it
-        for e, row in enumerate(table):  # output digit e becomes the top
+        live = [(d, c, fact[d] * inv[d] * inv[d] % p) for d in range(p)
+                if (c := int.from_bytes(vec[d::p], order))]
+        work += sum([p - d for d, _, _ in live]) * width
+        if work > MAX_CHANGE_WORK:
+            raise ValueError(f"the change of basis is too much work: about {work:.1e}"
+                             f" field operations, above {MAX_CHANGE_WORK:.1e}")
+        out = memoryview(vec).cast("B")  # vec is in live, so the output overwrites it
+        for e, fe in enumerate(fact):  # output digit e becomes the top
             out[e * size : (e + 1) * size] = sum(
-                [c if w == 1 else w * c for w, c in zip(row, cols) if w and c]
+                [c if (w := fe * x * inv[e - d] % p) == 1 else w * c for d, c, x in live if d <= e]
             ).to_bytes(size, order)
     return _element(spec, basis, compress(enumerate(vec), vec))
 

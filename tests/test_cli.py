@@ -658,20 +658,23 @@ INPUT_GATE = {
 }
 
 
-def limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-
-def run_gated(argv):
-    """Run the CLI in a child limited to 2 GB that must finish in 5 s."""
+def run_limited(argv, address_space, timeout):
+    """Run the CLI in a child whose address space is limited to
+    `address_space` bytes and which must finish in `timeout` seconds."""
+    limit = (address_space, address_space)
     return subprocess.run(
         [sys.executable, "-m", "sstorus.cli", *argv],
         capture_output=True,
         text=True,
-        timeout=5,
+        timeout=timeout,
         env={**os.environ, "PYTHONPATH": str(SRC)},
-        preexec_fn=limit_address_space,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
     )
+
+
+def run_gated(argv):
+    """Run the CLI in a child limited to 2 GB that must finish in 5 s."""
+    return run_limited(argv, 2 << 30, 5)
 
 
 @pytest.mark.parametrize("argv, code, expected", INPUT_GATE.values(), ids=INPUT_GATE.keys())
@@ -726,14 +729,35 @@ def test_check_ss_large_p_is_fast(tmp_path, term, code):
 def test_check_ss_p_too_large_for_fields_exits_2(tmp_path):
     """`--check-ss` at p = 2,642,257, with the cap raised past N = p^2, exits
     2 at once, in a child limited to 2 GB: one pass of the change of basis
-    could overflow a 64-bit field, so it is refused before the p x p digit
-    table is built."""
+    could overflow a 64-bit field, so it is refused before the N-field
+    array is allocated."""
     path = tmp_path / "one.json"
     path.write_text(element_json(p=2642257, terms=[{"a": [0], "b": [0], "c": 1}]))
     proc = run_gated(["verify", "--check-ss", str(path), "--cap", str(10**13)])
     assert proc.returncode == 2, proc.stderr
     assert "too large for 64-bit fields" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_check_ss_one_term_at_p_3001():
+    """`--check-ss` of C(x,1000) C(y,1500) at (1,1,3001,1), N = 9,006,001,
+    is decided in a child limited to 700,000 KiB, as in CI: the digit map
+    is formed from factorials, not from p x p tables."""
+    path = DATA / "check_ss_1_1_3001_1_in.json"
+    proc = run_limited(["verify", "--check-ss", str(path)], 700000 << 10, 20)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == (DATA / "check_ss_false.json").read_text()
+
+
+def test_memory_error_exits_3():
+    """Running out of memory prints one `error:` line and exits 3, not 1
+    (verification failed) with a traceback: the same check in a child
+    limited to 250 MiB."""
+    path = DATA / "check_ss_1_1_3001_1_in.json"
+    proc = run_limited(["verify", "--check-ss", str(path)], 250 << 20, 20)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert proc.stdout == ""
 
 

@@ -1,5 +1,10 @@
 import hashlib
+import json
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
 from array import array
 from functools import reduce
@@ -14,7 +19,6 @@ from sstorus.cli import DEFAULT_GRID
 from sstorus.idempotents import (
     _binomial_table,
     _change_basis,
-    _digit_tables,
     evaluate_point,
     from_idempotent_basis,
     idempotent_h,
@@ -39,6 +43,7 @@ from sstorus.torus import (
 )
 from test_output_digest import SPECS as DIGEST_SPECS
 from util import (
+    _digit_tables,
     binom_mod_p,
     change_basis_by_lists,
     from_idempotent_by_h,
@@ -50,6 +55,7 @@ from util import (
 
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def monomial(spec, a, b, c=1):
@@ -320,9 +326,12 @@ class TestGoldens:
             assert f"{digest}  -\n" == (DATA / f"{name}_1_1_997_1.sha256").read_text(), name
 
 
-# Every spec of the output digest and three larger primes; a dense (2,2,5,2)
-# is checked with all N terms only.
+SMALL_PRIMES = [p for p in range(2, 60) if all(p % k for k in range(2, p))]
+
+# Every spec of the output digest, three larger primes and one variable at
+# each prime below 60; a dense (2,2,5,2) is checked with all N terms only.
 PACKED_SPECS = DIGEST_SPECS + [(1, 1, 97, 1), (1, 1, 211, 1), (1, 0, 1009, 1)]
+PACKED_SPECS += [(1, 0, p, 1) for p in SMALL_PRIMES if (1, 0, p, 1) not in PACKED_SPECS]
 
 
 def packed_cases(spec, sizes, seed):
@@ -355,6 +364,19 @@ class TestPackedAgainstLists:
             with monkeypatch.context() as patched:
                 patched.setattr(idempotents, "_FIELD_LIMIT", 1 << 16)
                 assert _change_basis(f, target) == expected, (t, len(f.coeffs), target)
+
+    @pytest.mark.parametrize("p", SMALL_PRIMES)
+    def test_every_weight_of_the_digit_map(self, p):
+        # the unit vector at digit d maps to column d of the Pascal table
+        spec = TorusSpec(1, 0, p, 1)
+        B, B_inv = _digit_tables(p)
+        changes = ((Basis.BINOMIAL, Basis.IDEMPOTENT, B), (Basis.IDEMPOTENT, Basis.BINOMIAL, B_inv))
+        for source, target, table in changes:
+            for d in range(p):
+                f = _element(spec, source, [(d, 1)])
+                out = _change_basis(f, target)
+                assert out == change_basis_by_lists(f, table, target), (p, d, target)
+                assert out.coeffs == {e: row[d] for e, row in enumerate(table) if row[d]}
 
     # one pass from reduced fields stays below 2^16 at these p
     @pytest.mark.parametrize("t", [(1, 1, 7, 2), (1, 1, 13, 2), (2, 2, 5, 2)])
@@ -409,6 +431,79 @@ class TestPackedAgainstLists:
         with pytest.raises(ValueError, match="too large for 64-bit fields"):
             from_idempotent_basis(_element(spec, Basis.IDEMPOTENT, [(5, 1)]))
         assert time.perf_counter() - start < 1
+
+
+# C(x,5) at the largest prime below 10^6, and the dense element it converts
+# to, in a child limited to 2 GB: each call prints its seconds.  Every input
+# digit d >= 5 is live in the second call, which is about 5e11 units of work.
+LARGE_P_CHILD = """
+import json, random, time
+from sstorus.idempotents import from_idempotent_basis, to_idempotent_basis
+from sstorus.torus import Basis, ExponentVector, TorusElement, TorusSpec
+p, k = 999983, 5
+start = time.perf_counter()
+monomial = TorusElement(TorusSpec(1, 0, p, 1), Basis.BINOMIAL, {ExponentVector((k,), ()): 1})
+g = to_idempotent_basis(monomial)
+to_s = time.perf_counter() - start
+sample = [0, k - 1, k, k + 1, p - 1] + random.Random(5).sample(range(p), 200)
+start = time.perf_counter()
+try:
+    from_idempotent_basis(g)
+    refused = None
+except ValueError as exc:
+    refused = str(exc)
+print(json.dumps({
+    "to_s": to_s, "terms": len(g.coeffs), "sample": [[v, g.coeffs.get(v, 0)] for v in sample],
+    "from_s": time.perf_counter() - start, "refused": refused,
+}))
+"""
+
+
+class TestChangeWork:
+    """The work bound of `_change_basis`: each pass adds p - d for each live
+    input digit d, times N/p fields."""
+
+    def test_work_counts_each_live_digit(self, monkeypatch):
+        # C(x,4) C(y,7) at (1,1,13,1): towards idempotent coordinates only y
+        # digit 7, then only x digit 4 is live, so the work is (6 + 9) 13; back,
+        # y digits 7..12 (21 terms), then x digits 4..12 (45 terms): 66 * 13
+        spec = TorusSpec(1, 1, 13, 1)
+        f = monomial(spec, (4,), (7,))
+        monkeypatch.setattr(idempotents, "MAX_CHANGE_WORK", 15 * 13)
+        coords = to_idempotent_basis(f)
+        monkeypatch.setattr(idempotents, "MAX_CHANGE_WORK", 66 * 13)
+        assert from_idempotent_basis(coords) == f
+        monkeypatch.setattr(idempotents, "MAX_CHANGE_WORK", 66 * 13 - 1)
+        with pytest.raises(ValueError, match="too much work"):
+            from_idempotent_basis(coords)
+        monkeypatch.setattr(idempotents, "MAX_CHANGE_WORK", 15 * 13 - 1)
+        with pytest.raises(ValueError, match="too much work"):
+            to_idempotent_basis(f)
+
+    def test_bound_admits_dense_997_and_refuses_dense_3001(self):
+        # one dense pass: every digit d live, p (p + 1) / 2 terms on N/p fields
+        def dense_pass(m, n, p, r):
+            return p * (p + 1) // 2 * p ** ((m + n) * r - 1)
+
+        assert 2 * dense_pass(1, 1, 997, 1) <= idempotents.MAX_CHANGE_WORK
+        assert dense_pass(1, 1, 3001, 1) > idempotents.MAX_CHANGE_WORK
+
+    def test_large_p_monomial_converts_and_dense_result_is_refused(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", LARGE_P_CHILD],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        p, k = 999983, 5
+        assert out["to_s"] < 10 and out["terms"] == p - k
+        for v, c in out["sample"]:
+            assert c == binom_mod_p(v, k, p), v
+        assert out["from_s"] < 10 and "too much work" in out["refused"]
 
 
 class TestBinomialTable:

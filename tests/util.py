@@ -4,6 +4,7 @@ independent brute-force oracles the library is checked against."""
 import itertools
 import operator
 from array import array
+from functools import lru_cache
 from itertools import repeat
 from math import comb
 
@@ -105,6 +106,17 @@ def from_idempotent_by_h(f):
         for ev, ch in idempotent_h(f.spec, label).terms.items():
             acc[ev] = acc.get(ev, 0) + c * ch
     return TorusElement(f.spec, Basis.BINOMIAL, acc)
+
+
+@lru_cache(maxsize=4)
+def _digit_tables(p: int):
+    """(B, B_inv) with B[v][k] = C(v, k) and B_inv[k][a] = (-1)^(k-a) C(k, a)
+    mod p for digits in [0, p), mutually inverse, built by Pascal's rule."""
+    B = [[1] + [0] * (p - 1)]
+    for _ in range(1, p):
+        B.append([1] + [(x + y) % p for x, y in zip(B[-1], B[-1][1:])])
+    B_inv = [[(-c if (k - a) & 1 else c) % p for a, c in enumerate(row)] for k, row in enumerate(B)]
+    return tuple(map(tuple, B)), tuple(map(tuple, B_inv))
 
 
 # Reference for `idempotents._change_basis`: the same Yates passes over a
