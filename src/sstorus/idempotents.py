@@ -32,6 +32,7 @@ from .torus import (
 # The change of basis reduces its 64-bit fields mod p before any pass whose
 # result could reach this.
 _FIELD_LIMIT = 1 << 64
+_TYPECODES = {array(c).itemsize: c for c in "QLI"}  # unsigned, by field bytes
 
 
 @lru_cache(maxsize=8)
@@ -109,13 +110,14 @@ def _change_basis(f: TorusElement, basis: Basis) -> TorusElement:
     inverse factor into one pass per digit.  The map sends digit d to each
     e >= d with weight s^(e-d) e!/(d! (e-d)!) mod p, s = 1 towards idempotent
     coordinates and -1 back, from two length-p factorial lists.  The N
-    coefficients are 64-bit fields of one array; a pass reads each lowest-digit
-    slice as one int, sums weights times the nonzero slices into each output
-    digit's slice and puts that digit on top, so the digits end in place.  A
-    running bound reduces the fields mod p before any pass could reach
-    _FIELD_LIMIT.  A p with (p-1)^2 p >= 2^64 is refused, and so is a call
-    whose work, the sum of p - d over the live d of each pass times N/p,
-    passes MAX_CHANGE_WORK.  Memory O(N + p)."""
+    coefficients are unsigned fields of one array; a pass reads each
+    lowest-digit slice as one int, sums weights times the nonzero slices into
+    each output digit's slice and puts that digit on top, so the digits end in
+    place.  A running bound reduces the fields mod p before any pass could
+    reach _FIELD_LIMIT; they are 32-bit if it never reaches 2^32 or that, else
+    64-bit.  A p with (p-1)^2 p >= 2^64 is refused, and so is a call whose
+    work, the sum of p - d over the live d of each pass times N/p, passes
+    MAX_CHANGE_WORK.  Memory O(N + p)."""
     spec, p = f.spec, f.spec.p
     if (p - 1) ** 2 * p >= 1 << 64:
         raise ValueError(f"p = {p} is too large for 64-bit fields in the change of basis")
@@ -126,16 +128,16 @@ def _change_basis(f: TorusElement, basis: Basis) -> TorusElement:
     for k in range(1, p):
         fact[k] = fact[k - 1] * k * s % p
         inv[p - k - 1] = inv[p - k] * (p - k) % p
-    vec = array("Q", [0]) * spec.dimension
-    assert vec.itemsize == 8
+    passes, growth, bound, work = (spec.m + spec.n) * spec.r, p * (p - 1), p - 1, 0
+    itemsize = 4 if bound * growth**passes < min(_FIELD_LIMIT, 1 << 32) else 8
+    vec = array(_TYPECODES[itemsize], [0]) * spec.dimension
     for t, c in f.coeffs.items():
         vec[t] = c
     width = spec.dimension // p  # the fields of one slice
     size, order = vec.itemsize * width, sys.byteorder
-    growth, bound, work = p * (p - 1), p - 1, 0
-    for _ in range((spec.m + spec.n) * spec.r):
+    for _ in range(passes):
         if bound * growth >= _FIELD_LIMIT:
-            vec, bound = array("Q", [x % p for x in vec]), p - 1
+            vec, bound = array(vec.typecode, [x % p for x in vec]), p - 1
         bound *= growth
         live = [(d, c, fact[d] * inv[d] * inv[d] % p) for d in range(p)
                 if (c := int.from_bytes(vec[d::p], order))]

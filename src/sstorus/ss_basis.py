@@ -391,9 +391,11 @@ def verify_basis(spec: TorusSpec) -> CountReport:
     failures = []
     m, n, p, q, size = spec.m, spec.n, spec.p, spec.q, spec.dimension
     keys, table = _class_labelling(spec, (s[:2] for s in _canonical_shapes(spec)))
-    # Each canonical label is its own form, so its pair lies in its class.
+    # Each canonical label is its own form, so its pair lies in its class; at
+    # m = n = 1 the pairs are the labels, in flat order.
     sa, sb, w, width = _sorted_positions(q, m), _sorted_positions(q, n), q**n, comb(q + n - 1, n)
-    partition_ok = all(table[sa[t // w] * width + sb[t % w]] == c for c, t in enumerate(keys))
+    pairs = keys if m == n == 1 else (sa[t // w] * width + sb[t % w] for t in keys)
+    partition_ok = all(table[s] == c for c, s in enumerate(pairs))
     seen = bytearray(len(keys) + 1)  # the last slot marks pairs with no class
     mixed = set()
     for c, r in zip(table, root):

@@ -30,16 +30,15 @@ from .torus import (
 )
 
 
-def shift_substitute(f: TorusElement, i: int, j: int) -> TorusElement:
-    """Apply the shift x_i -> x_i - 1, y_j -> y_j + 1 termwise.  New
-    exponents are e <= k and, only when l >= 1, l - 1, so all in range: a
+def _shifted(acc: dict, f: TorusElement, i: int, j: int, sign: int) -> TorusElement:
+    """`acc` (flat index -> coefficient) plus sign * s_ij(f), added in place.
+    New exponents are e <= k and, only when l >= 1, l - 1, so all in range: a
     flat index steps by the digit weights of x_i and y_j."""
     _require_basis(f, Basis.BINOMIAL)
     spec = f.spec
     q, wx, wy = spec.q, _weight(spec, "x", i), _weight(spec, "y", j)
-    acc: dict = {}
     for t, c in f.coeffs.items():
-        k = t // wx % q
+        k, c = t // wx % q, sign * c
         steps = (0,) if t // wy % q == 0 else (-wy, 0)
         base = t - k * wx
         for e in range(k + 1):
@@ -50,12 +49,14 @@ def shift_substitute(f: TorusElement, i: int, j: int) -> TorusElement:
     return _element(spec, Basis.BINOMIAL, acc.items())
 
 
+def shift_substitute(f: TorusElement, i: int, j: int) -> TorusElement:
+    """Apply the shift x_i -> x_i - 1, y_j -> y_j + 1 termwise."""
+    return _shifted({}, f, i, j, 1)
+
+
 def phi(f: TorusElement, i: int, j: int) -> TorusElement:
     """The difference f - s_ij(f)."""
-    coeffs = dict(f.coeffs)
-    for t, c in shift_substitute(f, i, j).coeffs.items():
-        coeffs[t] = coeffs.get(t, 0) - c
-    return _element(f.spec, f.basis, coeffs.items())
+    return _shifted(dict(f.coeffs), f, i, j, -1)
 
 
 DaggerWitness = namedtuple("DaggerWitness", "holds quotient")

@@ -173,19 +173,25 @@ class TorusSpec:
         outside [0, q)."""
         if not isinstance(ev, ExponentVector):
             raise ValueError(f"a label must be an ExponentVector, got {ev!r}")
-        if len(ev.a) != self.m or len(ev.b) != self.n:
-            raise ValueError(
-                f"label {ev} has wrong shape for (m, n) = ({self.m}, {self.n})"
-            )
-        q, t = self.q, 0
-        for v in ev.a + ev.b:
-            if not 0 <= v < q:
-                raise ValueError(f"label {ev} has an exponent outside [0, {q})")
-            t = t * q + v
-        return t
+        return _checked_flat(self, *ev)
 
 
-_new, _pair = object.__new__, tuple.__new__
+def _checked_flat(spec: TorusSpec, a, b) -> int:
+    """The flat index of the label (a | b) of int entries; `ValueError` if its
+    shape is not (m, n) or an entry lies outside [0, q)."""
+    q, t = spec.q, 0
+    if len(a) != spec.m or len(b) != spec.n:
+        raise ValueError(
+            f"label {_label_text((a, b))} has wrong shape for (m, n) = ({spec.m}, {spec.n})"
+        )
+    for v in (*a, *b):
+        if not 0 <= v < q:
+            raise ValueError(f"label {_label_text((a, b))} has an exponent outside [0, {q})")
+        t = t * q + v
+    return t
+
+
+_new, _pair, _label_text = object.__new__, tuple.__new__, ExponentVector.__str__
 
 # At most this many blocks, q^m + q^n, are tabled once per (q, m, n) for
 # decoding labels; a larger algebra decodes from the blocks at hand.
@@ -380,9 +386,9 @@ def scale(c, f: TorusElement) -> TorusElement:
     return _element(f.spec, f.basis, [(t, c * cc) for t, cc in f.coeffs.items()])
 
 
-# Products of monomial pairs by (t1, t2, p, q, k), as `_monomial_product`
-# returns them.  A product of more than PRODUCT_TERMS_MAX terms is not kept,
-# and the cache is emptied before it would hold PRODUCT_CACHE_TERMS in all.
+# Products of monomial pairs, as `_monomial_product` returns them, in one map
+# per (p, q, k) keyed by t1 q^k + t2.  A product of more than PRODUCT_TERMS_MAX
+# terms is not kept, and the maps empty before they hold PRODUCT_CACHE_TERMS.
 PRODUCT_TERMS_MAX = 1 << 12
 PRODUCT_CACHE_TERMS = 1 << 18
 _products: dict = {}
@@ -394,7 +400,7 @@ def _monomial_product(t1: int, t2: int, p: int, q: int, k: int):
     entries, as ((flat index, coeff), ...): per coordinate, the module
     docstring's expansion of C(x, k1) C(x, k2), less exponents of q or more
     and zero coefficients, so their products are nonzero mod the prime p.
-    Kept in `_products` when small."""
+    Kept in `_products[p, q, k]`, which must exist, when small."""
     global _product_terms
     partial = [(0, 1)]
     for w in [q**s for s in range(k - 1, -1, -1)]:
@@ -408,9 +414,10 @@ def _monomial_product(t1: int, t2: int, p: int, q: int, k: int):
     product = tuple(partial)
     if len(product) <= PRODUCT_TERMS_MAX:
         if _product_terms + len(product) > PRODUCT_CACHE_TERMS:
-            _products.clear()
+            for cache in _products.values():
+                cache.clear()
             _product_terms = 0
-        _products[t1, t2, p, q, k] = product
+        _products[p, q, k][t1 * q**k + t2] = product
         _product_terms += len(product)
     return product
 
@@ -424,12 +431,14 @@ def multiply(f: TorusElement, g: TorusElement) -> TorusElement:
     _require_basis(g, Basis.BINOMIAL)
     spec = f.spec
     p, q, k = spec.p, spec.q, spec.m + spec.n
+    cache, size = _products.setdefault((p, q, k), {}), spec.dimension
     gterms = list(g.coeffs.items())
     acc: dict = {}
     for t1, c1 in f.coeffs.items():
+        row = t1 * size
         for t2, c2 in gterms:
             c12 = c1 * c2
-            product = _products.get((t1, t2, p, q, k))
+            product = cache.get(row + t2)
             if product is None:
                 product = _monomial_product(t1, t2, p, q, k)
             for t, c in product:
@@ -468,7 +477,7 @@ def element_from_dict(data: dict, cap: int = DEFAULT_CAP) -> TorusElement:
     if type(raw) is not list:
         raise ValueError("malformed element object: terms must be a list")
     spec = TorusSpec(*fields, cap=cap)
-    terms = {}
+    p, coeffs, keys = spec.p, {}, {"a", "b", "c"}
     for entry in raw:
         a, b, c = (
             (entry.get("a"), entry.get("b"), entry.get("c"))
@@ -480,19 +489,19 @@ def element_from_dict(data: dict, cap: int = DEFAULT_CAP) -> TorusElement:
             and type(b) is list
             and type(c) is int
             and set(map(type, a + b)) <= {int}
-            and entry.keys() == {"a", "b", "c"}
+            and entry.keys() == keys
         ):
             raise ValueError(
                 f"malformed term {entry!r}: needs integer lists a, b and an integer c"
                 " and no other key"
             )
-        ev = _pair(ExponentVector, (tuple(a), tuple(b)))  # entries checked above
-        if not 0 < c < spec.p:
-            raise ValueError(f"coefficient {c} outside [1, {spec.p})")
-        if ev in terms:
-            raise ValueError(f"duplicate term at {ev}")
-        terms[ev] = c
-    return TorusElement(spec, basis, terms)
+        if not 0 < c < p:
+            raise ValueError(f"coefficient {c} outside [1, {p})")
+        t = _checked_flat(spec, a, b)
+        if t in coeffs:
+            raise ValueError(f"duplicate term at {_label_text((a, b))}")
+        coeffs[t] = c
+    return _element(spec, basis, coeffs.items())
 
 
 def element_text(data: dict, pad: str = "") -> str:

@@ -112,6 +112,14 @@ class TestMul:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert f"{digest}  -\n" == (DATA / "mul_2_0_3137_1.sha256").read_text()
 
+    def test_dense_times_sparse_output_matches_golden(self, capsys):
+        # 79 terms times 8 at (2,2,5,1), N = 625; the golden is a sha256
+        lhs, rhs = (str(DATA / f"mul_2_2_5_1_{side}.json") for side in ("lhs", "rhs"))
+        code, out, err = run(capsys, "mul", lhs, rhs)
+        assert (code, err) == (0, "")
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert f"{digest}  -\n" == (DATA / "mul_2_2_5_1.sha256").read_text()
+
     def test_spec_mismatch_exits_2(self, capsys, tmp_path, spec11):
         lhs = write_element(tmp_path, "a.json", one(spec11))
         rhs = write_element(tmp_path, "b.json", one(TorusSpec(1, 1, 3, 1)))

@@ -415,6 +415,30 @@ class TestPackedAgainstLists:
             assert "pass,fill" in ",".join(events), (t, target, events)
         assert 0 < max(fields) < 1 << 16
 
+    # (spec, lowered limit, bytes per field): 32-bit fields wherever no pass,
+    # unreduced, reaches 2^32 or the limit; (2,1,3,2) reaches 93,312 and
+    # (2,2,5,1) 640,000, (1,1,2,10) 2^20, (1,1,997,1) about 1e15
+    @pytest.mark.parametrize("t, limit, itemsize", [
+        ((1, 1, 2, 10), None, 4), ((2, 1, 3, 2), None, 4), ((2, 2, 5, 1), None, 4),
+        ((1, 1, 997, 1), None, 8), ((2, 2, 5, 1), 1 << 16, 8), ((1, 0, 3, 1), 1 << 16, 4),
+    ])
+    def test_field_width_follows_the_bound(self, monkeypatch, t, limit, itemsize):
+        typecodes = []
+
+        def filling(typecode, init):
+            typecodes.append(typecode)
+            return array(typecode, init)
+
+        monkeypatch.setattr(idempotents, "array", filling)
+        if limit:
+            monkeypatch.setattr(idempotents, "_FIELD_LIMIT", limit)
+        spec = TorusSpec(*t)
+        f = _element(spec, Basis.BINOMIAL, [(spec.dimension - 1, 1)])  # one term each way
+        coords = to_idempotent_basis(f)
+        assert from_idempotent_basis(coords) == f
+        # one fill per call, and one more per reduction mod p
+        assert {array(c).itemsize for c in typecodes} == {itemsize}, typecodes
+
     def test_refuses_a_prime_whose_pass_could_overflow(self):
         # the least prime above 2,642,245; 2,642,246 is the largest p with
         # (p-1)^2 p < 2^64, so every larger prime is refused

@@ -33,7 +33,7 @@ from sstorus.torus import (
     scale,
     zero,
 )
-from util import build_H, multiply_by_linear, random_element, random_label
+from util import build_H, multiply_by_linear, phi_by_shift, random_element, random_label
 
 DATA = Path(__file__).parent / "data"
 
@@ -142,6 +142,18 @@ class TestPhi:
                         ph = phi(idempotent_h(spec, ev), i, j)
                         lhs = scale(ev.a[i - 1] + ev.b[j - 1], ph)
                         assert lhs == multiply_by_linear(ph, i, j)
+
+    @pytest.mark.parametrize("t", [(1, 1, 3, 1), (2, 1, 3, 2), (2, 2, 5, 1), (3, 2, 2, 1)])
+    def test_matches_f_minus_its_shift(self, t):
+        # one pass into a copy of f against f - s_ij(f) built as two elements,
+        # for every (i, j), on sparse elements and on ones with N/8 terms
+        spec = TorusSpec(*t)
+        rng = random.Random(sum(t) * 27)
+        for max_terms in (1, 4, spec.dimension // 8):
+            for _ in range(5):
+                f = random_element(spec, rng, max_terms=max_terms)
+                for i, j in pairs(spec):
+                    assert phi(f, i, j) == phi_by_shift(f, i, j), (t, i, j)
 
     def test_matches_golden(self):
         # a seeded 182-term binomial input at (2,1,3,2), written next to

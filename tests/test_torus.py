@@ -56,6 +56,16 @@ def monomial(spec, a, b, c=1):
     return TorusElement(spec, Basis.BINOMIAL, {ExponentVector(a, b): c})
 
 
+def cached(spec, t1, t2) -> bool:
+    """Whether the product of the monomials at flat indices t1 and t2 of
+    `spec` is in the product cache: the map of (p, q, m + n), key t1 N + t2."""
+    return t1 * spec.dimension + t2 in _products.get((spec.p, spec.q, spec.m + spec.n), {})
+
+
+def cached_terms() -> int:
+    return sum(len(product) for cache in _products.values() for product in cache.values())
+
+
 def decoded(a, b, q=13):
     """The label (a | b) as the library decodes it from its flat index."""
     return _labels(TorusSpec(len(a), len(b), q, 1), [_flat((a, b), q)])[0]
@@ -377,25 +387,54 @@ class TestMultiply:
             assert fg == multiply(g, f)
             assert_like_public(fg)
 
+    @pytest.mark.parametrize("t", [(2, 1, 3, 2), (2, 2, 5, 1)])
+    def test_dense_times_sparse_against_naive(self, t):
+        # N/8 terms times 8 terms, the shapes of the benchmark's products
+        spec = TorusSpec(*t)
+        rng = random.Random(sum(t) * 13)
+        N = spec.dimension
+        for _ in range(2):
+            f, g = (
+                _element(spec, Basis.BINOMIAL, [(u, rng.randrange(1, spec.p)) for u in support])
+                for support in (rng.sample(range(N), -(-N // 8)), rng.sample(range(N), 8))
+            )
+            assert multiply(f, g).terms == naive_multiply_terms(f, g)
+            assert multiply(g, f) == multiply(f, g)
+
+    def test_sparse_product_at_large_q_against_naive(self):
+        # (2,0,3137,1), N = 3137^2: one operand's entries anywhere, the
+        # other's below 40, so the untruncated oracle stays small
+        spec = TorusSpec(2, 0, 3137, 1)
+        rng = random.Random(3137)
+
+        def element(top: int) -> TorusElement:
+            labels = [ExponentVector((rng.randrange(top), rng.randrange(top)), ()) for _ in range(3)]
+            return TorusElement(spec, Basis.BINOMIAL, {ev: rng.randrange(1, 3137) for ev in labels})
+
+        for _ in range(3):
+            f, g = element(spec.q), element(40)
+            assert multiply(f, g).terms == naive_multiply_terms(f, g)
+
     def test_product_cache_keyed_by_label_length(self, monkeypatch):
         # The same flat indices name different labels in specs with equal
         # (p, q) and different m + n, with the same p and another q, and with
         # another p; the cached products must match the oracle whichever spec
         # filled them.  By Lucas's theorem a product on flat indices depends on
         # p alone, so only a key that fixes neither p nor q would go wrong.
+        # Within one map the int key t1 N + t2 names one pair, as t2 < N.
         specs = [TorusSpec(1, 0, 3, 1), TorusSpec(1, 1, 3, 1), TorusSpec(2, 1, 3, 1)]
         specs += [TorusSpec(1, 2, 3, 1), TorusSpec(1, 1, 3, 2), TorusSpec(2, 0, 3, 2)]
         specs += [TorusSpec(1, 1, 2, 2), TorusSpec(1, 1, 5, 1)]
         _products.clear()
         monkeypatch.setattr("sstorus.torus._product_terms", 0)
-        for cached in (False, True):
+        for filled in (False, True):
             for t1, t2 in itertools.product(range(9), repeat=2):
                 for spec in specs:
                     if max(t1, t2) < spec.dimension:
-                        key = (t1, t2, spec.p, spec.q, spec.m + spec.n)
-                        assert key in _products or not cached
+                        assert cached(spec, t1, t2) or not filled
                         f, g = (monomial(spec, *_labels(spec, [t])[0]) for t in (t1, t2))
                         assert multiply(f, g).terms == naive_multiply_terms(f, g), (spec, t1, t2)
+        assert sorted(_products) == sorted({(s.p, s.q, s.m + s.n) for s in specs})
 
     def test_sparse_product_decodes_only_its_labels(self):
         # Tables of all q^m blocks would hold 50,653 tuples here, about 5 MB.
@@ -416,12 +455,12 @@ class TestMultiply:
         # At (1,1,211,1) the middle monomials multiply to about 106^2 terms.
         spec = TorusSpec(1, 1, 211, 1)
         big, small = monomial(spec, (105,), (105,)), monomial(spec, (2,), (3,))
-        key = (105 * 211 + 105, 105 * 211 + 105, 211, 211, 2)
+        t = 105 * 211 + 105
         product = multiply(big, big)
-        assert len(product.terms) > PRODUCT_TERMS_MAX and key not in _products
-        assert multiply(big, big) == product and key not in _products
+        assert len(product.terms) > PRODUCT_TERMS_MAX and not cached(spec, t, t)
+        assert multiply(big, big) == product and not cached(spec, t, t)
         multiply(small, big)
-        assert (2 * 211 + 3, key[1], 211, 211, 2) in _products
+        assert cached(spec, 2 * 211 + 3, t)
 
     def test_product_cache_holds_a_bounded_number_of_terms(self):
         # Squares of (u | v) have (u + 1)(v + 1) <= 64^2 terms each, all kept
@@ -432,8 +471,8 @@ class TestMultiply:
             for v in range(60, 64):
                 t = u * 211 + v
                 total += len(multiply(monomial(spec, (u,), (v,)), monomial(spec, (u,), (v,))).coeffs)
-                assert (t, t, 211, 211, 2) in _products
-                assert sum(map(len, _products.values())) <= PRODUCT_CACHE_TERMS
+                assert cached(spec, t, t)
+                assert cached_terms() <= PRODUCT_CACHE_TERMS
         assert total == 315_000 > PRODUCT_CACHE_TERMS
 
 
@@ -565,6 +604,31 @@ class TestNormalisation:
         assert multiply_by_coordinate(x_minus_one, "x", 1) == expected
 
 
+MALFORMED = ": needs integer lists a, b and an integer c and no other key"
+
+# One faulty term at (2,1,3,1) and the exact message it gets.
+INGEST_FAULTS = [
+    ({"a": [0, True], "b": [2], "c": 1}, "malformed term {'a': [0, True], 'b': [2], 'c': 1}"),
+    ({"a": [0, 1], "b": [2.0], "c": 1}, "malformed term {'a': [0, 1], 'b': [2.0], 'c': 1}"),
+    ({"a": [0, 1], "b": [2], "c": True}, "malformed term {'a': [0, 1], 'b': [2], 'c': True}"),
+    ({"a": [0, 1], "b": [2], "c": 1.0}, "malformed term {'a': [0, 1], 'b': [2], 'c': 1.0}"),
+    ({"a": [0, 1], "b": [2], "c": 1, "d": 0},
+     "malformed term {'a': [0, 1], 'b': [2], 'c': 1, 'd': 0}"),
+    ({"a": [0, 1], "b": [2]}, "malformed term {'a': [0, 1], 'b': [2]}"),
+    ({"a": "01", "b": [2], "c": 1}, "malformed term {'a': '01', 'b': [2], 'c': 1}"),
+    ([[0, 1], [2], 1], "malformed term [[0, 1], [2], 1]"),
+]
+INGEST_FAULTS = [(term, message + MALFORMED) for term, message in INGEST_FAULTS] + [
+    ({"a": [0, 1], "b": [2], "c": 0}, "coefficient 0 outside [1, 3)"),
+    ({"a": [0, 1], "b": [2], "c": 3}, "coefficient 3 outside [1, 3)"),
+    ({"a": [0], "b": [2], "c": 1}, "label (0|2) has wrong shape for (m, n) = (2, 1)"),
+    ({"a": [0, 1], "b": [2, 0], "c": 1}, "label (0,1|2,0) has wrong shape for (m, n) = (2, 1)"),
+    ({"a": [0, 3], "b": [2], "c": 1}, "label (0,3|2) has an exponent outside [0, 3)"),
+    ({"a": [0, 1], "b": [-1], "c": 1}, "label (0,1|-1) has an exponent outside [0, 3)"),
+    ({"a": [1, 2], "b": [0], "c": 1}, "duplicate term at (1,2|0)"),
+]
+
+
 class TestJson:
     def test_roundtrip(self):
         rng = random.Random(7)
@@ -600,6 +664,21 @@ class TestJson:
         data["terms"][0]["c"] = 3
         with pytest.raises(ValueError):
             element_from_dict(data)
+
+    @pytest.mark.parametrize("term, message", INGEST_FAULTS)
+    def test_single_fault_message(self, term, message):
+        # the second of two terms carries the fault; messages are exact
+        doc = {"m": 2, "n": 1, "p": 3, "r": 1, "basis": "binomial", "terms": [
+            {"a": [1, 2], "b": [0], "c": 2}, term, {"a": [2, 2], "b": [2], "c": 1},
+        ]}
+        with pytest.raises(ValueError) as info:
+            element_from_dict(doc)
+        assert str(info.value) == message
+        doc["terms"][1] = {"a": [0, 1], "b": [2], "c": 1}
+        assert element_from_dict(doc).terms == {
+            ExponentVector((1, 2), (0,)): 2, ExponentVector((0, 1), (2,)): 1,
+            ExponentVector((2, 2), (2,)): 1,
+        }
 
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):

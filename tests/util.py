@@ -17,7 +17,7 @@ from sstorus.canonical import (
 )
 from sstorus.idempotents import evaluate_point, idempotent_h
 from sstorus.modp import _require_prime
-from sstorus.supersymmetry import phi
+from sstorus.supersymmetry import phi, shift_substitute
 from sstorus.torus import (
     Basis,
     ExponentVector,
@@ -96,6 +96,11 @@ def naive_multiply_terms(f, g):
     return {
         ExponentVector(key[:m], key[m:]): c for key, c in acc.items() if c
     }
+
+
+def phi_by_shift(f, i, j):
+    """Reference for `phi`: f minus its shift, as two elements."""
+    return f - shift_substitute(f, i, j)
 
 
 def from_idempotent_by_h(f):
