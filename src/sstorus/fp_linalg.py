@@ -1,6 +1,6 @@
-"""Dense exact linear algebra over F_p: reduced row echelon form, rank,
-right-nullspace bases, and row-space comparison.  Sized for the small systems
-this package solves; rows are plain lists of ints."""
+"""Dense exact linear algebra over F_p, sized for the small systems this
+package solves (rows are plain lists of ints): reduced row echelon forms, equal
+exactly when two families span one row space, and right-nullspace bases."""
 
 from __future__ import annotations
 
@@ -40,10 +40,6 @@ def rref(matrix, p: int):
     return rows[:r], pivots
 
 
-def rank(matrix, p: int) -> int:
-    return len(rref(matrix, p)[0])
-
-
 def nullspace_basis(matrix, ncols: int, p: int):
     """A canonical basis of the right nullspace {v : matrix @ v = 0 mod p}.
 
@@ -61,9 +57,3 @@ def nullspace_basis(matrix, ncols: int, p: int):
             v[pc] = -row[fc] % p
         basis.append(v)
     return rref(basis, p)[0]
-
-
-def same_row_space(a, b, p: int) -> bool:
-    ra = rank(a, p)
-    rb = rank(b, p)
-    return ra == rb == rank(list(a) + list(b), p)

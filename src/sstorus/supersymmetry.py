@@ -104,14 +104,25 @@ def is_bisymmetric(f: TorusElement) -> bool:
     return True
 
 
+def _orderings(block: tuple, q: int, prefixes: list) -> list:
+    """The base-q values of each prefix followed by each distinct ordering of
+    `block`, placed an entry at a time, partial orderings grouped by the rest."""
+    groups = {tuple(sorted(block)): prefixes}
+    for _ in block:
+        placed = {}
+        for rest, values in groups.items():
+            for v in set(rest):
+                s = rest.index(v)
+                placed.setdefault(rest[:s] + rest[s + 1 :], []).extend(x * q + v for x in values)
+        groups = placed
+    return groups[()]
+
+
 def symmetrize(ev: ExponentVector, spec: TorusSpec) -> TorusElement:
     """Sum of h over the distinct permutations of ev, coefficient 1 each."""
     spec.check_label(ev)
-    orbit = set()
-    for pa in set(itertools.permutations(ev.a)):
-        for pb in set(itertools.permutations(ev.b)):
-            orbit.add(ExponentVector(pa, pb))
-    return TorusElement(spec, Basis.IDEMPOTENT, {o: 1 for o in orbit})
+    flats = _orderings(ev.b, spec.q, _orderings(ev.a, spec.q, [0]))
+    return _element(spec, Basis.IDEMPOTENT, zip(flats, itertools.repeat(1)))
 
 
 def satisfies_dagger(f: TorusElement, i: int, j: int) -> bool:
@@ -122,20 +133,25 @@ def satisfies_dagger(f: TorusElement, i: int, j: int) -> bool:
     return is_multiple_of_linear(phi(fb, i, j), i, j).holds
 
 
-def _shift_invariant_where_divisible(f: TorusElement, i: int, j: int) -> bool:
-    """Whether phi_ij(f) is divisible by x_i + y_j, read off idempotent
-    coordinates.
+def is_supersymmetric(f: TorusElement) -> bool:
+    """Bisymmetry plus the (1, 1) divisibility condition, decided in
+    idempotent coordinates in time linear in the number of idempotent terms
+    (binomial input is converted once).
 
-    s_ij sends h_(a|b) to the idempotent with a_i + 1 and b_j - 1 (mod q), so
-    phi_ij(f) has coordinate f(beta) - f(beta - delta) at beta.  The step
-    delta keeps a_i + b_j fixed, and divisibility asks for that difference to
-    vanish wherever p divides a_i + b_j.  A violation is nonzero at beta or at
-    beta - delta, so comparing both neighbours of every support label finds
-    it.
+    s_11 sends h_(a|b) to the idempotent with a_1 + 1 and b_1 - 1 (mod q), so
+    phi_11(f) has coordinate f(beta) - f(beta - delta) at beta.  The step
+    delta keeps a_1 + b_1 fixed, and divisibility by x_1 + y_1 asks for that
+    difference to vanish wherever p divides a_1 + b_1.  A violation is
+    nonzero at beta or at beta - delta, so comparing both neighbours of every
+    support label finds it.
     """
     spec = f.spec
-    p, q, wx, wy = spec.p, spec.q, _weight(spec, "x", i), _weight(spec, "y", j)
-    coeffs = f.coeffs
+    if spec.n < 1:
+        raise ValueError("supersymmetry needs at least one y variable")
+    if not is_bisymmetric(f):
+        return False
+    coeffs = (f if f.basis is Basis.IDEMPOTENT else to_idempotent_basis(f)).coeffs
+    p, q, wx, wy = spec.p, spec.q, _weight(spec, "x", 1), _weight(spec, "y", 1)
     for t, c in coeffs.items():
         a, b = t // wx % q, t // wy % q
         if (a + b) % p:
@@ -144,20 +160,6 @@ def _shift_invariant_where_divisible(f: TorusElement, i: int, j: int) -> bool:
             if coeffs.get(t + ((a + step) % q - a) * wx + ((b - step) % q - b) * wy, 0) != c:
                 return False
     return True
-
-
-def is_supersymmetric(f: TorusElement) -> bool:
-    """Bisymmetry plus the (1, 1) divisibility condition.
-
-    Decided in idempotent coordinates, in time linear in the number of terms
-    of idempotent input; binomial input is converted once.
-    """
-    if f.spec.n < 1:
-        raise ValueError("supersymmetry needs at least one y variable")
-    if not is_bisymmetric(f):
-        return False
-    fi = f if f.basis is Basis.IDEMPOTENT else to_idempotent_basis(f)
-    return _shift_invariant_where_divisible(fi, 1, 1)
 
 
 def freeze_slices(f: TorusElement, i: int, j: int) -> dict:

@@ -151,10 +151,10 @@ def test_criterion_05_dimension_theorem():
                 f"{params}: oracle {len(oracle)}, basis {len(h_basis)}, "
                 f"closed {closed}, counted {counted}"
             )
-        h_vecs = coeff_vectors(h_basis, labels)
-        if fp_linalg.rank(h_vecs, spec.p) != len(h_basis):
+        h_rows = fp_linalg.rref(coeff_vectors(h_basis, labels), spec.p)[0]
+        if len(h_rows) != len(h_basis):
             failures.append(f"{params}: class sums dependent")
-        if not fp_linalg.same_row_space(h_vecs, coeff_vectors(oracle, labels), spec.p):
+        if h_rows != fp_linalg.rref(coeff_vectors(oracle, labels), spec.p)[0]:
             failures.append(f"{params}: span mismatch")
         if params in expected_dims and closed != expected_dims[params]:
             failures.append(f"{params}: expected {expected_dims[params]}, got {closed}")
@@ -169,7 +169,7 @@ def test_criterion_06_gl11_generator_equivalence():
         labels = list(spec.labels())
         gens = coeff_vectors(gl11_generators(spec), labels)
         oracle = coeff_vectors(ss_nullspace_oracle(spec), labels)
-        if not fp_linalg.same_row_space(gens, oracle, p):
+        if fp_linalg.rref(gens, p)[0] != fp_linalg.rref(oracle, p)[0]:
             failures.append(f"(p={p}, r={r})")
     _report(6, "rank-(1|1) generators span the oracle space", failures, started)
 

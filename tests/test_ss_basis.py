@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 from array import array
 from math import comb
@@ -38,7 +39,13 @@ from sstorus.torus import (
     add,
     zero,
 )
-from util import _label_components, build_H, coeff_vectors, divisibility_rows_by_element
+from util import (
+    _label_components,
+    build_H,
+    coeff_vectors,
+    divisibility_rows_by_element,
+    split_sum_total,
+)
 
 
 class TestFpLinalg:
@@ -46,7 +53,7 @@ class TestFpLinalg:
         rows, pivots = fp_linalg.rref([[1, 2], [2, 4], [0, 1]], 5)
         assert pivots == [0, 1]
         assert rows == [[1, 0], [0, 1]]
-        assert fp_linalg.rank([[1, 2], [2, 4]], 5) == 1
+        assert fp_linalg.rref([[1, 2], [2, 4]], 5) == ([[1, 2]], [0])
 
     def test_nullspace(self):
         basis = fp_linalg.nullspace_basis([[1, 1, 0]], 3, 3)
@@ -58,8 +65,46 @@ class TestFpLinalg:
         assert fp_linalg.nullspace_basis([], 2, 2) == [[1, 0], [0, 1]]
 
     def test_same_row_space(self):
-        assert fp_linalg.same_row_space([[1, 1]], [[2, 2]], 3)
-        assert not fp_linalg.same_row_space([[1, 0]], [[0, 1]], 3)
+        assert fp_linalg.rref([[1, 1]], 3) == fp_linalg.rref([[2, 2]], 3)
+        assert fp_linalg.rref([[1, 0]], 3) != fp_linalg.rref([[0, 1]], 3)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_rref_equality_is_the_three_rank_criterion(self, p):
+        # Two families span the same row space exactly when rank A = rank B
+        # = rank (A stacked on B); `verify_basis` compares reduced echelon
+        # forms instead.
+        def rank(rows):
+            return len(fp_linalg.rref(rows, p)[0])
+
+        def combos(rows, k, ncols):
+            out = []
+            for _ in range(k):
+                ws = [rng.randrange(p) for _ in rows]
+                out.append([sum(w * row[c] for w, row in zip(ws, rows)) % p for c in range(ncols)])
+            return out
+
+        rng = random.Random(2800 + p)
+        outcomes = set()
+        for trial in range(60):
+            ncols, nrows = rng.randint(1, 6), rng.randint(0, 5)
+            a = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
+            kind = trial % 5
+            if kind == 0:  # random
+                b = [[rng.randrange(p) for _ in range(ncols)] for _ in range(rng.randint(0, 5))]
+            elif kind == 1:  # combinations of A's rows, often spanning A's space
+                b = combos(a, rng.randint(0, 6), ncols)
+            elif kind == 2:  # A's rows repeated, scaled and shuffled
+                b = [[v * rng.randrange(1, p) % p for v in row] for row in a + a[:2]]
+                rng.shuffle(b)
+            elif kind == 3:  # rank-deficient A: its last row combines the others
+                a = a + combos(a, 1, ncols)
+                b = combos(a, len(a), ncols)
+            else:  # empty or all-zero families
+                a, b = [], [[0] * ncols for _ in range(rng.randint(0, 2))]
+            same = rank(a) == rank(b) == rank(a + b)
+            assert (fp_linalg.rref(a, p)[0] == fp_linalg.rref(b, p)[0]) == same, (a, b)
+            outcomes.add(same)
+        assert outcomes == {True, False}
 
 
 class TestBuildH:
@@ -307,11 +352,9 @@ class TestGl11Generators:
         for p, r in ((2, 1), (2, 2), (3, 1)):
             spec = TorusSpec(1, 1, p, r)
             labels = list(spec.labels())
-            assert fp_linalg.same_row_space(
-                coeff_vectors(gl11_generators(spec), labels),
-                coeff_vectors(ss_nullspace_oracle(spec), labels),
-                p,
-            )
+            oracle = coeff_vectors(ss_nullspace_oracle(spec), labels)
+            assert fp_linalg.rref(oracle, p)[0] == oracle
+            assert fp_linalg.rref(coeff_vectors(gl11_generators(spec), labels), p)[0] == oracle
 
     def test_each_generator_supersymmetric(self):
         spec = TorusSpec(1, 1, 3, 1)
@@ -357,6 +400,29 @@ class TestDimClosedForm:
     def test_rejects_missing_block(self):
         with pytest.raises(ValueError):
             dim_closed_form(TorusSpec(2, 0, 3, 1))
+
+    def test_general_form_covers_the_rank_one_block_forms(self):
+        # The special forms for m = 1 or n = 1 that the general form replaced,
+        # and the split sum over every (e, f) >= (1, 1) for all (m, n).
+        def rank_one_block(m, n, p, q):
+            qp = q // p
+            if m == 1 and n == 1:
+                return q * (q - qp) + qp
+            if n == 1:
+                return q * comb(q - qp + m - 1, m) + qp * comb(p + m - 2, m - 1)
+            if m == 1:
+                return q * comb(q - qp + n - 1, n) + qp * comb(p + n - 2, n - 1)
+            return None
+
+        checked = 0
+        for m, n, p, r in itertools.product(range(1, 7), range(1, 7), (2, 3, 5, 7, 11), (1, 2, 3)):
+            q = p**r
+            dim = dim_closed_form(TorusSpec(m, n, p, r, cap=q ** (m + n)))
+            assert dim == split_sum_total(m, n, q, p), (m, n, p, r)
+            special = rank_one_block(m, n, p, q)
+            assert special in (None, dim), (m, n, p, r)
+            checked += special is not None
+        assert checked == 11 * 5 * 3
 
 
 class TestVerifyBasis:
@@ -425,11 +491,10 @@ class TestVerifyBasis:
             labels = list(spec.labels())
             basis = [build_H(c, spec) for c in enumerate_canonical(spec)]
             vecs = coeff_vectors(basis, labels)
-            full = fp_linalg.rank(vecs, spec.p)
-            assert full == len(basis)
+            assert len(fp_linalg.rref(vecs, spec.p)[0]) == len(basis)
             for k in range(len(vecs)):
-                reduced = vecs[:k] + vecs[k + 1 :]
-                assert fp_linalg.rank(reduced, spec.p) == full - 1
+                reduced = fp_linalg.rref(vecs[:k] + vecs[k + 1 :], spec.p)[0]
+                assert len(reduced) == len(basis) - 1
 
 
 class TestClassSizes:

@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from functools import reduce
 from pathlib import Path
 
@@ -33,9 +36,17 @@ from sstorus.torus import (
     scale,
     zero,
 )
-from util import build_H, multiply_by_linear, phi_by_shift, random_element, random_label
+from util import (
+    build_H,
+    multiply_by_linear,
+    phi_by_shift,
+    random_element,
+    random_label,
+    symmetrize_by_permutations,
+)
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 def monomial(spec, a, b, c=1):
     return TorusElement(spec, Basis.BINOMIAL, {ExponentVector(a, b): c})
@@ -263,6 +274,40 @@ class TestBisymmetry:
         spec = TorusSpec(2, 1, 3, 1)
         ev = ExponentVector((1, 1), (0,))
         assert symmetrize(ev, spec).terms == {ev: 1}
+
+    @pytest.mark.parametrize(
+        "t",
+        [(1, 0, 3, 1), (3, 0, 2, 2), (2, 2, 3, 1), (4, 1, 2, 2), (3, 3, 3, 1), (5, 2, 2, 1), (6, 2, 3, 1)],
+    )
+    def test_symmetrize_matches_permutation_sets(self, t):
+        spec = TorusSpec(*t)
+        rng = random.Random(sum(t))
+        labels = [random_label(spec, rng) for _ in range(40)]
+        # labels with repeated entries, whose orbits are smaller than m! n!
+        labels += [ExponentVector((ev.a[0],) * spec.m, ev.b) for ev in labels[:10]]
+        for ev in labels:
+            assert symmetrize(ev, spec) == symmetrize_by_permutations(ev, spec), ev
+
+    def test_build_special_of_a_long_constant_block_is_one_term(self):
+        # 22! orderings of (1^22), all equal: a walk over the permutations
+        # would not finish; the distinct orderings are one.
+        code = (
+            "import time\n"
+            "from sstorus.ss_basis import build_special\n"
+            "from sstorus.torus import ExponentVector, TorusSpec\n"
+            "ev, spec = ExponentVector((1,) * 22, (0,)), TorusSpec(22, 1, 2, 1)\n"
+            "start = time.perf_counter()\n"
+            "assert build_special(ev, spec).terms == {ev: 1}\n"
+            "assert time.perf_counter() - start < 1\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestDaggerAndSupersymmetry:

@@ -366,6 +366,16 @@ def class_signature(ev, spec):
     return (d, *_unmatched_residues(ev.a, ev.b, spec.p), ev.total() % spec.q)
 
 
+def symmetrize_by_permutations(ev, spec):
+    """Reference for `symmetrize`: the set of every ordering of each block,
+    from all len(block)! permutations, so only for short blocks."""
+    orbit = set()
+    for pa in set(itertools.permutations(ev.a)):
+        for pb in set(itertools.permutations(ev.b)):
+            orbit.add(ExponentVector(pa, pb))
+    return TorusElement(spec, Basis.IDEMPOTENT, {o: 1 for o in orbit})
+
+
 def build_H(canonical, spec):
     """Reference for `class_sums`: coefficient 1 at every member of the
     equivalence class, closed by breadth-first search."""
