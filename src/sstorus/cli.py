@@ -135,7 +135,7 @@ def cmd_canonical(args, config: dict, cap: int) -> int:
 def cmd_basis(args, config: dict, cap: int) -> int:
     spec = TorusSpec(*_spec_fields(args), cap=cap)
     if args.oracle:
-        elements = ss_basis.ss_component_oracle(spec)
+        elements = ss_basis._indicators(spec, ss_basis._pair_components(spec))
     else:
         elements = ss_basis.class_sums(spec)
     _emit_list(torus.element_to_dict(e) for e in elements)

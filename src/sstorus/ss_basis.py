@@ -32,7 +32,7 @@ from .canonical import (
     is_special,
 )
 from .idempotents import evaluate_point, idempotent_h
-from .supersymmetry import phi, symmetrize
+from .supersymmetry import _orderings, phi, symmetrize
 from .torus import (
     Basis,
     CapExceededError,
@@ -85,50 +85,31 @@ def _class_labelling(spec: TorusSpec, canonical):
     return keys, table
 
 
-def _to_labels(spec: TorusSpec, per_pair) -> array:
-    """For every label, in flat order, the entry of `per_pair` (an array in
-    `_class_labelling`'s order of the pairs) at its sorted blocks."""
-    sb, width = _sorted_positions(spec.q, spec.n), comb(spec.q + spec.n - 1, spec.n)
-    labelling = array("q")
-    for i in _sorted_positions(spec.q, spec.m):
-        row = per_pair[i * width : (i + 1) * width]
-        labelling += array("q", map(row.__getitem__, sb))
-    return labelling
-
-
-def _grouped(labelling, size: int):
-    """Counting sort of the flat label indices by their entry in
-    `labelling`, every entry in range(size): the indices with entry c,
-    increasing, are members[offsets[c]:offsets[c + 1]]."""
-    offsets = array("q", bytes(8 * (size + 1)))
-    for c in labelling:
-        offsets[c + 1] += 1
-    for c in range(size):
-        offsets[c + 1] += offsets[c]
-    fill = offsets[:size]
-    members = array("q", bytes(8 * len(labelling)))
-    for t, c in enumerate(labelling):
-        members[fill[c]] = t
-        fill[c] += 1
-    return members, offsets
-
-
-def _indicators(spec: TorusSpec, per_pair, size: int) -> Iterator[TorusElement]:
-    """For each entry in range(size) that `per_pair` takes, in increasing
-    order, the element with coefficient 1 at the labels whose pairs take it."""
-    members, offsets = _grouped(_to_labels(spec, per_pair), size)
-    for c in range(size):
-        lo, hi = offsets[c], offsets[c + 1]
-        if lo < hi:
-            yield _element(spec, Basis.IDEMPOTENT, zip(members[lo:hi], itertools.repeat(1)))
+def _indicators(spec: TorusSpec, per_pair) -> Iterator[TorusElement]:
+    """For each id >= 0 that `per_pair` (an array in `_class_labelling`'s
+    order of the pairs) takes, in increasing order, the element with
+    coefficient 1 at the labels whose pairs take it.  A pair of sorted blocks
+    stands for the distinct orderings of its blocks (`_orderings`), so each
+    element's members are those of its pairs, sorted into flat order."""
+    q, w, blocks = spec.q, spec.q**spec.n, itertools.combinations_with_replacement
+    a_flats = [sorted(_orderings(a, q, [0])) for a in blocks(range(q), spec.m)]
+    b_flats = [sorted(_orderings(b, q, [0])) for b in blocks(range(q), spec.n)]
+    key = per_pair.__getitem__
+    for c, pairs in itertools.groupby(sorted(range(len(per_pair)), key=key), key):
+        if c >= 0:
+            flats = []
+            for a, b in map(divmod, pairs, itertools.repeat(len(b_flats))):
+                flats += [x * w + y for x in a_flats[a] for y in b_flats[b]]
+            flats.sort()
+            yield _element(spec, Basis.IDEMPOTENT, zip(flats, itertools.repeat(1)))
 
 
 def class_sums(spec: TorusSpec) -> Iterator[TorusElement]:
     """The class sum H of every canonical label, in `enumerate_canonical`
     order (coefficient 1 at each member, idempotent basis), with the classes
     read from one class table instead of closed by search."""
-    keys, table = _class_labelling(spec, (c.ev for c in enumerate_canonical(spec)))
-    return _indicators(spec, table, len(keys))
+    _, table = _class_labelling(spec, (c.ev for c in enumerate_canonical(spec)))
+    return _indicators(spec, table)
 
 
 def build_special(ev: ExponentVector, spec: TorusSpec) -> TorusElement:
@@ -271,9 +252,9 @@ def ss_component_oracle(spec: TorusSpec) -> list[TorusElement]:
     The subspace is the functions constant on each component, so the
     component indicators (coefficient 1, sorted by least label) span it;
     they are also the reduced echelon basis `ss_nullspace_oracle` returns.
+    Components are unions of pairs of sorted blocks: see `_indicators`.
     """
-    root = _pair_components(spec)
-    return list(_indicators(spec, root, len(root)))
+    return list(_indicators(spec, _pair_components(spec)))
 
 
 def _gl11_supports(p: int, q: int) -> Iterator[list]:
@@ -412,10 +393,9 @@ def verify_basis(spec: TorusSpec) -> CountReport:
     if size <= DENSE_ORACLE_MAX_N:
         oracles += ("dense",)
         dense = ss_nullspace_oracle(spec)
-        if dense != list(_indicators(spec, root, len(root))):
+        if dense != list(_indicators(spec, root)):
             failures.append("the dense and component oracles disagree")
-        label_class = _to_labels(spec, table)
-        h_vecs = [[int(c == i) for c in label_class] for i in range(len(keys))]
+        h_vecs = [[h.coeffs.get(t, 0) for t in range(size)] for h in _indicators(spec, table)]
         h_rows = fp_linalg.rref(h_vecs, p)[0]
         dense_vecs = [[o.coeffs.get(t, 0) for t in range(size)] for o in dense]
         independent = independent and len(h_rows) == len(keys)

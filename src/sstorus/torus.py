@@ -424,13 +424,18 @@ def _monomial_product(t1: int, t2: int, p: int, q: int, k: int):
 
 def multiply(f: TorusElement, g: TorusElement) -> TorusElement:
     """Product of two binomial-basis elements (commutative, associative),
-    accumulated on flat indices.  Exponents stay below q, so every index is
-    a label's."""
+    accumulated on flat indices: exponents stay below q, so every index is a
+    label's.  Past (m + n) r N pairs of terms, the passes times the fields of
+    a change of basis, it multiplies pointwise in idempotent coordinates."""
     _require_same_spec(f, g)
     _require_basis(f, Basis.BINOMIAL)
     _require_basis(g, Basis.BINOMIAL)
     spec = f.spec
     p, q, k = spec.p, spec.q, spec.m + spec.n
+    if len(f.coeffs) * len(g.coeffs) > k * spec.r * spec.dimension:
+        from .idempotents import from_idempotent_basis, to_idempotent_basis
+
+        return from_idempotent_basis(to_idempotent_basis(f) * to_idempotent_basis(g))
     cache, size = _products.setdefault((p, q, k), {}), spec.dimension
     gterms = list(g.coeffs.items())
     acc: dict = {}

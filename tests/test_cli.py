@@ -4,12 +4,13 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from math import comb
 from pathlib import Path
 
 import pytest
 
-from sstorus import canonical, ss_basis
+from sstorus import canonical, idempotents, ss_basis
 from sstorus.canonical import _canonical_shapes, count_c, enumerate_canonical
 from sstorus.cli import DEFAULT_GRID, _emit_list, main
 from sstorus.idempotents import idempotent_h
@@ -119,6 +120,17 @@ class TestMul:
         assert (code, err) == (0, "")
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert f"{digest}  -\n" == (DATA / "mul_2_2_5_1.sha256").read_text()
+
+    def test_dense_product_past_the_change_work_bound_exits_2(self, capsys, tmp_path, monkeypatch):
+        # 9 x 9 pairs at (1,1,3,1) pass (m + n) r N = 18, so the product
+        # changes basis; one dense pass there is 3 * 4 / 2 * 3 = 18.
+        spec = TorusSpec(1, 1, 3, 1)
+        f = TorusElement(spec, Basis.BINOMIAL, {ev: 1 for ev in spec.labels()})
+        path = write_element(tmp_path, "f.json", f)
+        monkeypatch.setattr(idempotents, "MAX_CHANGE_WORK", 17)
+        code, out, err = run(capsys, "mul", path, path)
+        assert (code, out) == (2, "")
+        assert "too much work" in err
 
     def test_spec_mismatch_exits_2(self, capsys, tmp_path, spec11):
         lhs = write_element(tmp_path, "a.json", one(spec11))
@@ -259,6 +271,23 @@ class TestBasis:
         digest = hashlib.sha256(out.encode()).hexdigest()
         golden = DATA / ("basis_oracle_%d_%d_%d_%d.sha256" % t)
         assert f"{digest}  -\n" == golden.read_text()
+
+    def test_oracle_streams_its_elements(self, monkeypatch):
+        # Held as one list, the oracle's basis at (1,1,101,1) peaks at 3.6 MiB
+        # under tracemalloc; streamed, at 1.0 MiB (Python 3.11).
+        def refuse(spec):
+            raise AssertionError("basis --oracle built the whole basis first")
+
+        monkeypatch.setattr(ss_basis, "ss_component_oracle", refuse)
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                code = main(["basis", *spec_flags(1, 1, 101, 1), "--oracle"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0 and peak < 2 * 2**20
 
     def test_class_sums_output_unchanged(self, capsys, monkeypatch):
         # golden output of the BFS route; the command reads the classes from

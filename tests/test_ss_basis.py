@@ -44,6 +44,7 @@ from util import (
     build_H,
     coeff_vectors,
     divisibility_rows_by_element,
+    per_label,
     split_sum_total,
 )
 
@@ -539,10 +540,10 @@ def bfs_classes(spec):
 
 def shape_labelling(spec):
     """`ss_basis._class_labelling` of the `_canonical_shapes`, as `verify`
-    builds it, with its table read out to every label by `_to_labels`."""
+    builds it: the keys, and the table read out to every label by `per_label`."""
     shapes = (s[:2] for s in canonical._canonical_shapes(spec))
     keys, table = ss_basis._class_labelling(spec, shapes)
-    return keys, ss_basis._to_labels(spec, table)
+    return keys, per_label(spec, table)
 
 
 def verify_peak(spec):
@@ -593,9 +594,10 @@ class TestLabelClasses:
     @pytest.mark.parametrize("t", LABELLING_SPECS)
     def test_table_labelling_equals_per_label_forms(self, t):
         spec = TorusSpec(*t)
+        shapes = (s[:2] for s in canonical._canonical_shapes(spec))
+        for made in ss_basis._class_labelling(spec, shapes):
+            assert isinstance(made, array) and made.typecode == "q"
         keys, label_class = shape_labelling(spec)
-        assert isinstance(keys, array) and keys.typecode == "q"
-        assert isinstance(label_class, array) and label_class.typecode == "q"
         shapes = sorted(canonical._canonical_shapes(spec))
         index = {(ev.a, ev.b): t for t, ev in enumerate(spec.labels())}
         assert list(keys) == [index[s[:2]] for s in shapes]
@@ -615,19 +617,37 @@ class TestLabelClasses:
             ev = labels[keys[i]]
             assert (ev.a, ev.b) == shapes[c][:2]
 
+    # The buckets are the supports of `_indicators`' elements, one per id.
     @pytest.mark.parametrize("t", LABELLING_SPECS)
     def test_grouped_buckets_partition_the_labels(self, t):
         spec = TorusSpec(*t)
-        keys, label_class = shape_labelling(spec)
-        members, offsets = ss_basis._grouped(label_class, len(keys))
-        sizes = [hi - lo for lo, hi in zip(offsets, offsets[1:])]
-        assert offsets[0] == 0 and all(sizes)
-        assert sum(sizes) == len(members) == spec.dimension
-        assert sorted(members) == list(range(spec.dimension))
-        grouped = blocks(label_class)
-        assert [list(members[lo:hi]) for lo, hi in zip(offsets, offsets[1:])] == [
-            grouped[c] for c in range(len(keys))
+        shapes = (s[:2] for s in canonical._canonical_shapes(spec))
+        keys, table = ss_basis._class_labelling(spec, shapes)
+        elements = list(ss_basis._indicators(spec, table))
+        assert all(e.basis is Basis.IDEMPOTENT and set(e.coeffs.values()) == {1} for e in elements)
+        supports = [list(e.coeffs) for e in elements]
+        assert all(s == sorted(s) for s in supports)
+        assert sorted(itertools.chain(*supports)) == list(range(spec.dimension))
+        # ids in increasing order: each support holds the flat index of its key
+        assert len(supports) == len(keys)
+        assert all(k in s for k, s in zip(keys, supports))
+        grouped = blocks(per_label(spec, table))
+        assert supports == [grouped[c] for c in range(len(keys))]
+
+    def test_indicators_skip_negative_and_unused_ids(self):
+        # (2,1,3,1): 6 x 3 pairs.  Ids 0, 2 and 5 are taken; -1 and the
+        # unused 1, 3 and 4 yield no element.
+        spec = TorusSpec(2, 1, 3, 1)
+        rng = random.Random(18)
+        per_pair = array("q", [rng.choice([-1, 0, 2, 5]) for _ in range(18)])
+        per_pair[:4] = array("q", [-1, 0, 2, 5])
+        labelled = per_label(spec, per_pair)
+        expected = [
+            [t for t, c in enumerate(labelled) if c == i] for i in (0, 2, 5)
         ]
+        elements = list(ss_basis._indicators(spec, per_pair))
+        assert [list(e.coeffs) for e in elements] == expected
+        assert sum(map(len, expected)) == spec.dimension - labelled.count(-1) < spec.dimension
 
     @pytest.mark.parametrize("t", LABELLING_SPECS)
     def test_class_sums_equal_bfs_class_sums(self, t):
@@ -723,7 +743,7 @@ class TestLabelComponents:
         spec = TorusSpec(*t)
         index = {ev: i for i, ev in enumerate(spec.labels())}
         supports = [sorted(index[ev] for ev in o.terms) for o in ss_nullspace_oracle(spec)]
-        root = ss_basis._to_labels(spec, ss_basis._pair_components(spec))
+        root = per_label(spec, ss_basis._pair_components(spec))
         assert list(blocks(root).values()) == supports
 
     @pytest.mark.parametrize("t", PAIR_SPECS)
@@ -736,7 +756,7 @@ class TestLabelComponents:
             spec.q + spec.n - 1, spec.n
         )
         assert all(root[s] <= s and root[root[s]] == root[s] for s in range(len(root)))
-        labelled = ss_basis._to_labels(spec, root)
+        labelled = per_label(spec, root)
         assert [flats[r] for r in labelled] == list(_label_components(spec))
 
 

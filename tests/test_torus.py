@@ -1,10 +1,15 @@
 import copy
 import itertools
 import json
+import os
 import pickle
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +40,7 @@ from sstorus.torus import (
     _labels,
     _products,
 )
+from sstorus import idempotents
 from sstorus.idempotents import (
     from_idempotent_basis,
     multiply_idempotent_basis,
@@ -50,6 +56,8 @@ from util import (
     random_element,
     random_label,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def monomial(spec, a, b, c=1):
@@ -474,6 +482,76 @@ class TestMultiply:
                 assert cached(spec, t, t)
                 assert cached_terms() <= PRODUCT_CACHE_TERMS
         assert total == 315_000 > PRODUCT_CACHE_TERMS
+
+
+def seeded_element(spec, rng, k):
+    """k binomial terms at distinct seeded labels, coefficients in [1, p)."""
+    support = rng.sample(range(spec.dimension), k)
+    return _element(spec, Basis.BINOMIAL, [(t, rng.randrange(1, spec.p)) for t in support])
+
+
+class TestDenseProduct:
+    """Past (m + n) r N pairs of terms `multiply` goes through idempotent
+    coordinates; the product is unique, so it must not change."""
+
+    @pytest.mark.parametrize("t", [(1, 1, 3, 1), (1, 1, 2, 2), (2, 1, 2, 1), (1, 0, 7, 1)])
+    def test_both_routes_against_naive(self, monkeypatch, t):
+        spec = TorusSpec(*t)
+        N, limit = spec.dimension, (spec.m + spec.n) * spec.r * spec.dimension
+        converted = []
+        convert = idempotents.to_idempotent_basis
+
+        def counting(f):
+            converted.append(f)
+            return convert(f)
+
+        monkeypatch.setattr(idempotents, "to_idempotent_basis", counting)
+        rng = random.Random(sum(t) * 29)
+        s = isqrt(limit)
+        # dense x dense and dense x sparse, at and just past the limit
+        sizes = [(s, s), (s + 1, s + 1), (N, N), (N, limit // N), (N, limit // N + 1)]
+        for k1, k2 in sizes:
+            f, g = seeded_element(spec, rng, k1), seeded_element(spec, rng, k2)
+            converted.clear()
+            fg = multiply(f, g)
+            assert fg.terms == naive_multiply_terms(f, g), (k1, k2)
+            assert len(converted) == (2 if k1 * k2 > limit else 0), (k1, k2)
+            assert multiply(g, f) == fg
+
+    def test_dense_product_at_101_by_points(self):
+        # 10,201 terms each: about 10^8 pairs of terms, hours pairwise; two
+        # changes of basis and a pointwise product take milliseconds.
+        code = (
+            "import random, time\n"
+            "from sstorus.idempotents import evaluate_point\n"
+            "from sstorus.torus import Basis, TorusSpec, _element, _labels, multiply\n"
+            "spec, rng = TorusSpec(1, 1, 101, 1), random.Random(101)\n"
+            "f, g = (_element(spec, Basis.BINOMIAL, [(t, rng.randrange(1, 101))"
+            " for t in range(spec.dimension)]) for _ in range(2))\n"
+            "start = time.perf_counter()\n"
+            "fg = multiply(f, g)\n"
+            "assert time.perf_counter() - start < 1\n"
+            "for ev in _labels(spec, rng.sample(range(spec.dimension), 16)):\n"
+            "    assert evaluate_point(fg, ev) == evaluate_point(f, ev) * evaluate_point(g, ev) % 101\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_dense_route_keeps_the_change_work_bound(self, monkeypatch):
+        # A dense element at (1,1,13,1) costs 13 * 14 / 2 * 13 per pass, two
+        # passes each way.
+        spec = TorusSpec(1, 1, 13, 1)
+        rng = random.Random(13)
+        f, g = (seeded_element(spec, rng, spec.dimension) for _ in range(2))
+        monkeypatch.setattr(idempotents, "MAX_CHANGE_WORK", 2 * 13 * 14 // 2 * 13 - 1)
+        with pytest.raises(ValueError, match="too much work"):
+            multiply(f, g)
 
 
 class TestCoordinateMultiplication:

@@ -177,6 +177,16 @@ def divisibility_rows_by_element(spec, i, j):
     return [list(row) for row in zip(*images)]
 
 
+def per_label(spec: TorusSpec, per_pair) -> list:
+    """Reference read-out of a per-pair table: for every label of
+    `spec.labels()`, in order, the entry of `per_pair` (one per pair of
+    sorted blocks, in lexicographic order) at the label's sorted blocks."""
+    blocks = itertools.combinations_with_replacement
+    pairs = itertools.product(blocks(range(spec.q), spec.m), blocks(range(spec.q), spec.n))
+    entry = dict(zip(pairs, per_pair, strict=True))
+    return [entry[tuple(sorted(ev.a)), tuple(sorted(ev.b))] for ev in spec.labels()]
+
+
 # Reference for `ss_basis._pair_components`: the same union-find run over
 # every label instead of over the pairs of sorted blocks.
 def _label_components(spec: TorusSpec) -> array:
