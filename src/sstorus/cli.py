@@ -134,10 +134,7 @@ def cmd_canonical(args, config: dict, cap: int) -> int:
 
 def cmd_basis(args, config: dict, cap: int) -> int:
     spec = TorusSpec(*_spec_fields(args), cap=cap)
-    if args.oracle:
-        elements = ss_basis._indicators(spec, ss_basis._pair_components(spec))
-    else:
-        elements = ss_basis.class_sums(spec)
+    elements = (ss_basis.ss_component_oracle if args.oracle else ss_basis.class_sums)(spec)
     _emit_list(torus.element_to_dict(e) for e in elements)
     return EXIT_OK
 
@@ -220,10 +217,8 @@ def cmd_verify(args, config: dict, cap: int) -> int:
 
 
 def _add_spec_flags(sub):
-    sub.add_argument("--m", type=int)
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--p", type=int)
-    sub.add_argument("--r", type=int)
+    for name in "mnpr":
+        sub.add_argument(f"--{name}", type=int)
 
 
 def _add_common_flags(sub):

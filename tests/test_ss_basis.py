@@ -321,7 +321,7 @@ class TestComponentOracle:
     )
     def test_equals_dense_oracle(self, t):
         spec = TorusSpec(*t)
-        assert ss_component_oracle(spec) == ss_nullspace_oracle(spec)
+        assert list(ss_component_oracle(spec)) == ss_nullspace_oracle(spec)
 
     def test_dense_threshold_covers_default_grid(self):
         assert DENSE_ORACLE_MAX_N >= max(TorusSpec(*t).dimension for t in DEFAULT_GRID)

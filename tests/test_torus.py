@@ -8,7 +8,6 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -490,33 +489,87 @@ def seeded_element(spec, rng, k):
     return _element(spec, Basis.BINOMIAL, [(t, rng.randrange(1, spec.p)) for t in support])
 
 
+def pair_terms(spec, t1, t2) -> int:
+    """The terms the product of the monomials at flat indices t1 and t2
+    has: those of `integer_monomial_product` below q and nonzero mod p."""
+    u, v = _labels(spec, [t1, t2])
+    return sum(
+        1
+        for key, c in integer_monomial_product(u, v).items()
+        if c % spec.p and all(e < spec.q for e in key)
+    )
+
+
+def takes_idempotent_route(f, g) -> bool:
+    """Whether some row of f's pairs with g, past the first, starts after
+    more than 3 (m + n) r N terms, and the three changes of basis with every
+    digit live are within `MAX_CHANGE_WORK`."""
+    spec = f.spec
+    passes = (spec.m + spec.n) * spec.r
+    rows = list(f.coeffs)[:-1]
+    spent = sum(pair_terms(spec, t1, t2) for t1 in rows for t2 in g.coeffs)
+    work = passes * spec.dimension * (spec.p + 1) // 2
+    return spent > 3 * passes * spec.dimension and work <= idempotents.MAX_CHANGE_WORK
+
+
+@pytest.fixture
+def conversions(monkeypatch):
+    """The elements `multiply` hands to `to_idempotent_basis`."""
+    converted = []
+    convert = idempotents.to_idempotent_basis
+
+    def counting(f):
+        converted.append(f)
+        return convert(f)
+
+    monkeypatch.setattr(idempotents, "to_idempotent_basis", counting)
+    return converted
+
+
 class TestDenseProduct:
-    """Past (m + n) r N pairs of terms `multiply` goes through idempotent
-    coordinates; the product is unique, so it must not change."""
+    """Once its pairs have expanded to more than 3 (m + n) r N terms,
+    `multiply` goes through idempotent coordinates if the changes of basis
+    are within their work bound; the product is unique, so it must not
+    change."""
 
-    @pytest.mark.parametrize("t", [(1, 1, 3, 1), (1, 1, 2, 2), (2, 1, 2, 1), (1, 0, 7, 1)])
-    def test_both_routes_against_naive(self, monkeypatch, t):
+    # At (2,1,2,1) every pair is one term, 64 in all, below 3 * 3 * 8.
+    @pytest.mark.parametrize(
+        "t, routes",
+        [
+            ((1, 1, 3, 1), {False, True}),
+            ((1, 1, 2, 2), {False, True}),
+            ((2, 1, 2, 1), {False}),
+            ((1, 0, 7, 1), {False, True}),
+        ],
+    )
+    def test_both_routes_against_naive(self, conversions, t, routes):
         spec = TorusSpec(*t)
-        N, limit = spec.dimension, (spec.m + spec.n) * spec.r * spec.dimension
-        converted = []
-        convert = idempotents.to_idempotent_basis
-
-        def counting(f):
-            converted.append(f)
-            return convert(f)
-
-        monkeypatch.setattr(idempotents, "to_idempotent_basis", counting)
+        N = spec.dimension
         rng = random.Random(sum(t) * 29)
-        s = isqrt(limit)
-        # dense x dense and dense x sparse, at and just past the limit
-        sizes = [(s, s), (s + 1, s + 1), (N, N), (N, limit // N), (N, limit // N + 1)]
-        for k1, k2 in sizes:
+        seen = set()
+        # dense x dense, dense x sparse both ways, and sparse x sparse
+        for k1, k2 in [(N, N), (N, 2), (2, N), (N, 1), (1, N), (3, 3), (N // 2, N // 2)]:
             f, g = seeded_element(spec, rng, k1), seeded_element(spec, rng, k2)
-            converted.clear()
+            conversions.clear()
             fg = multiply(f, g)
             assert fg.terms == naive_multiply_terms(f, g), (k1, k2)
-            assert len(converted) == (2 if k1 * k2 > limit else 0), (k1, k2)
+            route = takes_idempotent_route(f, g)
+            assert len(conversions) == 2 * route, (k1, k2)
+            seen.add(route)
             assert multiply(g, f) == fg
+        assert seen == routes
+
+    @pytest.mark.parametrize("t", [(2, 2, 5, 1), (2, 1, 3, 2)])
+    def test_benchmark_shapes_stay_pairwise(self, conversions, t):
+        # algebra-ops multiplies 8-term elements and N/8 by 8 terms; the
+        # pairwise loop is as fast as the changes of basis there or faster.
+        spec = TorusSpec(*t)
+        rng = random.Random(sum(t))
+        dense = -(-spec.dimension // 8)
+        for k1, k2 in [(8, 8), (dense, 8), (8, dense)]:
+            f, g = seeded_element(spec, rng, k1), seeded_element(spec, rng, k2)
+            assert multiply(f, g).terms == naive_multiply_terms(f, g)
+        assert conversions == []
 
     def test_dense_product_at_101_by_points(self):
         # 10,201 terms each: about 10^8 pairs of terms, hours pairwise; two
@@ -543,15 +596,50 @@ class TestDenseProduct:
         )
         assert proc.returncode == 0, proc.stderr
 
-    def test_dense_route_keeps_the_change_work_bound(self, monkeypatch):
+    def test_few_pairs_of_many_terms_take_the_idempotent_route(self, conversions):
+        # 296 x 300 pairs of exponents below 18 expand to millions of terms,
+        # 2 s pairwise; the switch comes after 3 * 2 * 211^2 of them.
+        spec = TorusSpec(2, 0, 211, 1)
+        rng = random.Random(211)
+        low = [a * spec.q + b for a in range(18) for b in range(18)]
+        f, g = (
+            _element(spec, Basis.BINOMIAL, [(t, rng.randrange(1, 211)) for t in rng.sample(low, k)])
+            for k in (296, 300)
+        )
+        fg = multiply(f, g)
+        assert len(conversions) == 2
+        for ev in _labels(spec, rng.sample(range(spec.dimension), 16)):
+            expected = idempotents.evaluate_point(f, ev) * idempotents.evaluate_point(g, ev)
+            assert idempotents.evaluate_point(fg, ev) == expected % 211
+
+    def test_past_the_change_work_bound_stays_pairwise(self, conversions, monkeypatch):
         # A dense element at (1,1,13,1) costs 13 * 14 / 2 * 13 per pass, two
-        # passes each way.
+        # passes each way; one unit below that, the product stays pairwise.
         spec = TorusSpec(1, 1, 13, 1)
         rng = random.Random(13)
         f, g = (seeded_element(spec, rng, spec.dimension) for _ in range(2))
+        fg = multiply(f, g)
+        assert len(conversions) == 2
+        conversions.clear()
         monkeypatch.setattr(idempotents, "MAX_CHANGE_WORK", 2 * 13 * 14 // 2 * 13 - 1)
-        with pytest.raises(ValueError, match="too much work"):
-            multiply(f, g)
+        assert multiply(f, g) == fg
+        assert conversions == []
+
+    def test_large_p_past_the_switch_stays_pairwise(self, conversions):
+        # At (1,0,63247,1) a change of basis of a dense element is 63,247 *
+        # 63,248 / 2 > MAX_CHANGE_WORK, so the about 243,000 terms of these
+        # 90 x 90 pairs, past 3 * 63,247, are summed pairwise.
+        spec = TorusSpec(1, 0, 63247, 1)
+        assert spec.dimension * (spec.p + 1) // 2 > idempotents.MAX_CHANGE_WORK
+        rng = random.Random(63247)
+        f, g = (
+            _element(spec, Basis.BINOMIAL, [(t, rng.randrange(1, spec.p)) for t in range(90)])
+            for _ in range(2)
+        )
+        rows = list(f.coeffs)[:-1]
+        assert sum(pair_terms(spec, t1, t2) for t1 in rows for t2 in g.coeffs) > 3 * spec.p
+        assert multiply(f, g).terms == naive_multiply_terms(f, g)
+        assert conversions == []
 
 
 class TestCoordinateMultiplication:
