@@ -37,11 +37,15 @@ the split indices (e, f) of the canonical shape."""
 EquivClass = namedtuple("EquivClass", "canonical members")
 
 
+def _is_special(a: tuple, b: tuple, p: int) -> bool:
+    """Whether no pair sum a_i + b_j of the blocks is divisible by p."""
+    return all((u + v) % p for u in a for v in b)
+
+
 def is_special(ev: ExponentVector, spec: TorusSpec) -> bool:
     """No pair sum a_i + b_j divisible by p."""
     spec.check_label(ev)
-    p = spec.p
-    return all((av + bv) % p for av in ev.a for bv in ev.b)
+    return _is_special(ev.a, ev.b, spec.p)
 
 
 def is_ordinary(ev: ExponentVector, spec: TorusSpec) -> bool:

@@ -35,15 +35,6 @@ _FIELD_LIMIT = 1 << 64
 _TYPECODES = {array(c).itemsize: c for c in "QLI"}  # unsigned, by field bytes
 
 
-@lru_cache(maxsize=8)
-def _binomial_table(p: int, q: int):
-    """B[v][k] = C(v, k) mod p for 0 <= v, k < q, by Pascal's rule, not Lucas."""
-    B = [(1,) + (0,) * (q - 1)]
-    for _ in range(1, q):
-        B.append((1,) + tuple([(x + y) % p for x, y in zip(B[-1], B[-1][1:])]))
-    return tuple(B)
-
-
 def _univariate_terms(p: int, q: int, a: int):
     """Nonzero coefficients of X_a as ((exponent, coeff), ...)."""
     out = []
@@ -77,18 +68,18 @@ def idempotent_h(spec: TorusSpec, ev: ExponentVector) -> TorusElement:
 
 
 def evaluate_point(f: TorusElement, point: ExponentVector) -> int:
-    """Evaluate a binomial-basis element at an integer point of [0, q)^(m+n)."""
+    """Evaluate a binomial-basis element at an integer point of [0, q)^(m+n)
+    by exact binomials C(v, k) mod p, independent of the change of basis."""
     _require_basis(f, Basis.BINOMIAL)
     spec = f.spec
     spec.check_label(point)
-    B = _binomial_table(spec.p, spec.q)
     p = spec.p
     flat = point.a + point.b
     total = 0
     for ev, c in f.terms.items():
         prod = c
         for v, k in zip(flat, ev.a + ev.b):
-            prod = prod * B[v][k] % p
+            prod = prod * comb(v, k) % p
             if not prod:
                 break
         total = (total + prod) % p

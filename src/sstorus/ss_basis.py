@@ -24,11 +24,11 @@ from . import fp_linalg
 from .canonical import (
     _canonical_form,
     _canonical_shapes,
+    _is_special,
     count_canonical_total,
     count_c,
     count_c_prime,
     enumerate_canonical,
-    is_ordinary,
     is_special,
 )
 from .idempotents import evaluate_point, idempotent_h
@@ -120,16 +120,14 @@ def build_special(ev: ExponentVector, spec: TorusSpec) -> TorusElement:
 
 
 def build_Ha(spec: TorusSpec, a: int) -> TorusElement:
-    """Sum of all ordinary idempotents whose label total is a mod q."""
+    """Sum of all ordinary idempotents whose label total is a mod q, read out
+    by `_indicators` from the pairs of sorted blocks: 0 where they count."""
     if type(a) is not int or not 0 <= a < spec.q:
         raise ValueError(f"residue must be an integer in [0, {spec.q}), got {a!r}")
-    q = spec.q
-    terms = {
-        ev: 1
-        for ev in spec.labels()
-        if ev.total() % q == a and is_ordinary(ev, spec)
-    }
-    return TorusElement(spec, Basis.IDEMPOTENT, terms)
+    p, q, blocks = spec.p, spec.q, itertools.combinations_with_replacement
+    per_pair = [0 if (sum(x) + sum(y)) % q == a and not _is_special(x, y, p) else -1
+                for x in blocks(range(q), spec.m) for y in blocks(range(q), spec.n)]
+    return next(_indicators(spec, per_pair), _element(spec, Basis.IDEMPOTENT, ()))
 
 
 def _divisibility_rows(spec: TorusSpec, labels: list, expansions: list, i: int, j: int) -> list:

@@ -425,10 +425,10 @@ def _monomial_product(t1: int, t2: int, p: int, q: int, k: int):
 def multiply(f: TorusElement, g: TorusElement) -> TorusElement:
     """Product of two binomial-basis elements (commutative, associative),
     accumulated on flat indices: exponents stay below q, so every index is a
-    label's.  Once the pairs have expanded to more terms than the three
-    changes of basis of the idempotent route have fields to pass, (m + n) r N
-    each, it multiplies pointwise in idempotent coordinates instead, if their
-    work, as `_change_basis` counts it with every digit live, is within
+    label's.  Once the terms expanded plus the pairs left pass 3 (m + n) r N,
+    the fields the three changes of basis of the idempotent route pass, it
+    multiplies pointwise in idempotent coordinates instead, if their work,
+    as `_change_basis` counts it with every digit live, is within
     MAX_CHANGE_WORK."""
     _require_same_spec(f, g)
     _require_basis(f, Basis.BINOMIAL)
@@ -438,16 +438,17 @@ def multiply(f: TorusElement, g: TorusElement) -> TorusElement:
     cache, size = _products.setdefault((p, q, k), {}), spec.dimension
     # A term costs about what a field of one pass does: 130-190 ns with its
     # product cached, against 30-400 ns (Python 3.11, shared 2-core x86 host).
-    spent, passes = 0, k * spec.r
+    # A pair left costs a lookup or more, but may add no term: `left` bounds work.
     gterms = list(g.coeffs.items())
+    spent, passes, left = 0, k * spec.r, len(f.coeffs) * len(gterms)
     acc: dict = {}
     for t1, c1 in f.coeffs.items():
-        if spent > 3 * passes * size:
+        if spent + left > 3 * passes * size:
             from .idempotents import MAX_CHANGE_WORK, from_idempotent_basis, to_idempotent_basis
 
             if passes * size * (p + 1) // 2 <= MAX_CHANGE_WORK:
                 return from_idempotent_basis(to_idempotent_basis(f) * to_idempotent_basis(g))
-        row = t1 * size
+        row, left = t1 * size, left - len(gterms)
         for t2, c2 in gterms:
             c12 = c1 * c2
             product = cache.get(row + t2)

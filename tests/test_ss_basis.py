@@ -42,6 +42,7 @@ from sstorus.torus import (
 from util import (
     _label_components,
     build_H,
+    build_Ha_by_labels,
     coeff_vectors,
     divisibility_rows_by_element,
     per_label,
@@ -526,6 +527,14 @@ def blocks(labelling) -> dict:
     for t, c in enumerate(labelling):
         out.setdefault(c, []).append(t)
     return out
+
+
+# (2,2,3,2) has 6,561 labels and n, r >= 2.
+@pytest.mark.parametrize("t", LABELLING_SPECS + [(1, 0, 7, 1), (2, 2, 3, 2)])
+def test_build_Ha_matches_label_walk(t):
+    spec = TorusSpec(*t)
+    for a in range(spec.q):
+        assert build_Ha(spec, a) == build_Ha_by_labels(spec, a), a
 
 
 def bfs_classes(spec):

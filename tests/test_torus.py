@@ -39,7 +39,7 @@ from sstorus.torus import (
     _labels,
     _products,
 )
-from sstorus import idempotents
+from sstorus import idempotents, torus
 from sstorus.idempotents import (
     from_idempotent_basis,
     multiply_idempotent_basis,
@@ -501,15 +501,18 @@ def pair_terms(spec, t1, t2) -> int:
 
 
 def takes_idempotent_route(f, g) -> bool:
-    """Whether some row of f's pairs with g, past the first, starts after
-    more than 3 (m + n) r N terms, and the three changes of basis with every
-    digit live are within `MAX_CHANGE_WORK`."""
+    """Whether some row of f's pairs with g starts where the terms expanded
+    before it plus the pairs from it on pass 3 (m + n) r N, and the three
+    changes of basis with every digit live are within `MAX_CHANGE_WORK`."""
     spec = f.spec
     passes = (spec.m + spec.n) * spec.r
-    rows = list(f.coeffs)[:-1]
-    spent = sum(pair_terms(spec, t1, t2) for t1 in rows for t2 in g.coeffs)
+    spent, left, starts = 0, len(f.coeffs) * len(g.coeffs), []
+    for t1 in f.coeffs:
+        starts.append(spent + left)
+        spent += sum(pair_terms(spec, t1, t2) for t2 in g.coeffs)
+        left -= len(g.coeffs)
     work = passes * spec.dimension * (spec.p + 1) // 2
-    return spent > 3 * passes * spec.dimension and work <= idempotents.MAX_CHANGE_WORK
+    return max(starts) > 3 * passes * spec.dimension and work <= idempotents.MAX_CHANGE_WORK
 
 
 @pytest.fixture
@@ -527,10 +530,10 @@ def conversions(monkeypatch):
 
 
 class TestDenseProduct:
-    """Once its pairs have expanded to more than 3 (m + n) r N terms,
-    `multiply` goes through idempotent coordinates if the changes of basis
-    are within their work bound; the product is unique, so it must not
-    change."""
+    """Once the terms its pairs have expanded to plus the pairs left pass
+    3 (m + n) r N, `multiply` goes through idempotent coordinates if the
+    changes of basis are within their work bound; the product is unique, so
+    it must not change."""
 
     # At (2,1,2,1) every pair is one term, 64 in all, below 3 * 3 * 8.
     @pytest.mark.parametrize(
@@ -571,6 +574,24 @@ class TestDenseProduct:
             assert multiply(f, g).terms == naive_multiply_terms(f, g)
         assert conversions == []
 
+    @pytest.mark.parametrize("t", [(2, 1, 3, 2), (2, 2, 5, 1)])
+    def test_cold_dense_product_expands_no_pair(self, conversions, monkeypatch, t):
+        # N^2 pairs are past 3 (m + n) r N before the first row, and a cache
+        # miss costs 1-10 us against 130-190 ns for a cached term.
+        spec = TorusSpec(*t)
+        rng = random.Random(sum(t))
+        f, g = (seeded_element(spec, rng, spec.dimension) for _ in range(2))
+        _products.clear()
+        monkeypatch.setattr("sstorus.torus._product_terms", 0)
+        expanded = []
+        product = torus._monomial_product
+        monkeypatch.setattr(torus, "_monomial_product", lambda *a: expanded.append(a) or product(*a))
+        fg = multiply(f, g)
+        assert expanded == [] and len(conversions) == 2
+        for ev in _labels(spec, rng.sample(range(spec.dimension), 16)):
+            expected = idempotents.evaluate_point(f, ev) * idempotents.evaluate_point(g, ev)
+            assert idempotents.evaluate_point(fg, ev) == expected % spec.p
+
     def test_dense_product_at_101_by_points(self):
         # 10,201 terms each: about 10^8 pairs of terms, hours pairwise; two
         # changes of basis and a pointwise product take milliseconds.
@@ -598,7 +619,8 @@ class TestDenseProduct:
 
     def test_few_pairs_of_many_terms_take_the_idempotent_route(self, conversions):
         # 296 x 300 pairs of exponents below 18 expand to millions of terms,
-        # 2 s pairwise; the switch comes after 3 * 2 * 211^2 of them.
+        # 2 s pairwise; the switch comes once they and the pairs left pass
+        # 3 * 2 * 211^2.
         spec = TorusSpec(2, 0, 211, 1)
         rng = random.Random(211)
         low = [a * spec.q + b for a in range(18) for b in range(18)]

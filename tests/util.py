@@ -386,6 +386,18 @@ def symmetrize_by_permutations(ev, spec):
     return TorusElement(spec, Basis.IDEMPOTENT, {o: 1 for o in orbit})
 
 
+def build_Ha_by_labels(spec, a):
+    """Reference for `build_Ha`: coefficient 1 at every label with some pair
+    sum divisible by p and total a mod q, from a walk over all labels."""
+    p, q = spec.p, spec.q
+    terms = {
+        ev: 1
+        for ev in spec.labels()
+        if ev.total() % q == a and any((u + v) % p == 0 for u in ev.a for v in ev.b)
+    }
+    return TorusElement(spec, Basis.IDEMPOTENT, terms)
+
+
 def build_H(canonical, spec):
     """Reference for `class_sums`: coefficient 1 at every member of the
     equivalence class, closed by breadth-first search."""
