@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import deque, namedtuple
 from collections.abc import Iterator
+from heapq import merge
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -157,39 +158,37 @@ def enumerate_equivalence_class(
 
 
 def _canonical_shapes(spec: TorusSpec) -> Iterator[tuple]:
-    """Every canonical label as a tuple (a, b, defect, e, f), unordered.
+    """Every canonical label as a tuple (a, b, defect, e, f), in order of (a, b).
 
     They are generated from their shape (see the module docstring), so the
-    cost grows with the number of classes, not with q^(m+n).  Defect zero:
-    for each sorted b, the sorted a over the values whose residue avoids
-    every -b_j mod p.  Positive defect: every split (e, f), unit tail of a,
-    unit tail of b with no pair sum divisible by p, and multiple of p at
-    position f of b.
+    cost grows with the number of classes, not with q^(m+n).  For each sorted
+    a: the sorted b of defect zero, over the values whose residue avoids every
+    -a_i mod p, and if a = (0^e, unit tail), the few b of positive defect
+    (split f, unit tail with no pair sum divisible by p, multiple of p at
+    position f), sorted and merged in; only these hold a multiple of p.
     """
     m, n, p, q = spec.m, spec.n, spec.p, spec.q
-    for b in combinations_with_replacement(range(q), n):
-        bad = {-v % p for v in b}
+    for a in combinations_with_replacement(range(q), m):
+        bad = {-v % p for v in a}
         allowed = [v for v in range(q) if v % p not in bad]
-        for a in combinations_with_replacement(allowed, m):
-            yield a, b, 0, None, None
-    units = range(1, p)
-    for e in range(1, m + 1):
-        for tail_a in combinations_with_replacement(units, m - e):
-            a = (0,) * e + tail_a
-            allowed = [v for v in units if p - v not in tail_a]
-            for f in range(1, n + 1):
-                d = min(e, f)
-                for tail_b in combinations_with_replacement(allowed, n - f):
-                    for bf in range(0, q, p):
-                        yield a, (0,) * (f - 1) + (bf,) + tail_b, d, e, f
+        shapes = ((a, b, 0, None, None) for b in combinations_with_replacement(allowed, n))
+        e = a.count(0)
+        if e and a[-1] < p:
+            allowed = [v for v in range(1, p) if p - v not in a]
+            shapes = merge(shapes, sorted(
+                (a, (0,) * (f - 1) + (bf,) + tail_b, min(e, f), e, f)
+                for f in range(1, n + 1)
+                for tail_b in combinations_with_replacement(allowed, n - f)
+                for bf in range(0, q, p)
+            ))
+        yield from shapes
 
 
 def enumerate_canonical(spec: TorusSpec) -> list:
     """All canonical labels, in lexicographic order."""
-    # Labels are distinct, so the sort never compares past (a, b).
     return [
         CanonicalLabel(ExponentVector(a, b), d, e, f)
-        for a, b, d, e, f in sorted(_canonical_shapes(spec))
+        for a, b, d, e, f in _canonical_shapes(spec)
     ]
 
 

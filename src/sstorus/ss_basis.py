@@ -59,24 +59,23 @@ def _sorted_positions(q: int, k: int) -> list:
 
 
 def _class_labelling(spec: TorusSpec, canonical):
-    """The sorted flat indices `keys` of the `canonical` (a, b) pairs, and the
-    class table: for every pair of sorted blocks, in lexicographic order, the
-    rank in `keys` of its canonical form's flat index, or -1 if absent.  Both
-    are `array('q')`s, and the ranks follow lexicographic order.
+    """The flat indices `keys` of the `canonical` (a, b) pairs, given in
+    lexicographic order, and the class table: for every pair of sorted blocks,
+    in lexicographic order, the rank in `keys` of its canonical form's flat
+    index by bisection, or -1 if absent; both are `array('q')`s.  A repeated
+    key, or one out of order that bisection misses, leaves a rank untaken.
 
     The form depends only on the sorted blocks (defect zero sorts them; the
     unmatched residues and the total are multiset functions), so it is formed
     once per pair of sorted blocks, C(q + m - 1, m) C(q + n - 1, n) times.
     """
     m, n, p, q = spec.m, spec.n, spec.p, spec.q
-    present = bytearray(spec.dimension)
-    for pair in canonical:
-        present[_flat(pair, q)] = 1
-    keys = array("q", itertools.compress(range(len(present)), present))
+    keys = array("q", map(_flat, canonical, itertools.repeat(q)))
 
     def rank(form: tuple) -> int:
         t = _flat(form, q) if form else -1
-        return bisect_left(keys, t) if t >= 0 and present[t] else -1
+        s = bisect_left(keys, t)
+        return s if s < len(keys) and keys[s] == t else -1
 
     blocks = itertools.combinations_with_replacement
     table = array("q")

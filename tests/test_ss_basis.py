@@ -46,6 +46,7 @@ from util import (
     coeff_vectors,
     divisibility_rows_by_element,
     per_label,
+    shape_is_canonical,
     split_sum_total,
 )
 
@@ -716,9 +717,15 @@ class TestLabelClasses:
     def test_verify_memory_per_label_where_pairs_are_fewer(self):
         # At (3,3,5,1) there are 1,225 pairs of sorted blocks for 15,625
         # labels: both partitions and the union-find are held per pair, and
-        # only the bytearray that marks the canonical labels is per label.
+        # the keys per canonical label; the peak is 3.0 bytes per label.
         spec = TorusSpec(3, 3, 5, 1)
         assert verify_peak(spec) < 8 * spec.dimension
+
+    def test_verify_memory_past_the_default_cap(self):
+        # (8,8,3,1) has 3^16 = 43,046,721 labels, 2,025 pairs of sorted
+        # blocks and 217 canonical labels: a byte per label would be 41 MiB,
+        # and the peak is 1.5 MiB (Python 3.11).
+        assert verify_peak(TorusSpec(8, 8, 3, 1, cap=10**8)) < 4 * 2**20
 
 
 def pair_flats(spec):
@@ -735,6 +742,20 @@ def pair_flats(spec):
 PAIR_SPECS = [t for t in LABELLING_SPECS if t[1] >= 1] + [
     (2, 2, 3, 2), (3, 2, 5, 1), (3, 3, 3, 1), (2, 2, 5, 2),
 ]
+
+
+class TestCanonicalShapeOrder:
+    # `_class_labelling` ranks the keys by bisection, so the shapes must come
+    # in lexicographic order of (a, b); (1,1,2,3), (2,1,2,2), (1,2,2,3) and
+    # (3,1,2,2) add p = 2 with r >= 2.
+    @pytest.mark.parametrize("t", sorted({
+        *LABELLING_SPECS, *PAIR_SPECS, (1, 1, 2, 3), (2, 1, 2, 2), (1, 2, 2, 3), (3, 1, 2, 2)
+    }))
+    def test_shapes_come_in_label_order(self, t):
+        spec = TorusSpec(*t)
+        pairs = [s[:2] for s in canonical._canonical_shapes(spec)]
+        assert all(x < y for x, y in zip(pairs, pairs[1:]))
+        assert pairs == [(ev.a, ev.b) for ev in spec.labels() if shape_is_canonical(ev, spec)]
 
 
 class TestLabelComponents:
@@ -841,6 +862,41 @@ class TestVerifyBasisCatchesCorruption:
         assert capsys.readouterr().err == "".join(
             f"FAIL {spec}: {failure}\n" for failure in CORRUPTION_FAILURES[mode]
         )
+
+
+def corrupt_shapes(monkeypatch, mode):
+    """Make `verify_basis` read the canonical shapes with the first one
+    twice ("repeat") or with the first two exchanged ("swap")."""
+    original = ss_basis._canonical_shapes
+
+    def corrupted(spec):
+        first, second, *rest = original(spec)
+        return iter([first, first, second, *rest] if mode == "repeat" else [second, first, *rest])
+
+    monkeypatch.setattr(ss_basis, "_canonical_shapes", corrupted)
+
+
+class TestVerifyBasisCatchesShapeCorruption:
+    # A repeated label takes no rank of its own, and two labels out of order
+    # misplace the ranks: either way some class sum is empty.
+    @pytest.mark.parametrize("t", [(2, 1, 5, 1), (2, 1, 3, 1)])
+    @pytest.mark.parametrize("mode", ["repeat", "swap"])
+    def test_reports_failure(self, monkeypatch, capsys, t, mode):
+        spec = TorusSpec(*t)
+        corrupt_shapes(monkeypatch, mode)
+        dim = {(2, 1, 5, 1): 55, (2, 1, 3, 1): 12}[t]
+        enumerated = dim + (mode == "repeat")
+        expected = [PARTITION, "class sums are linearly dependent", SPAN]
+        if mode == "repeat":
+            expected.append(f"count mismatch: closed form {dim}, enumerated {enumerated}")
+        rep = verify_basis(spec)
+        assert rep.failures == expected
+        assert (rep.enumerated, rep.oracle_dim, rep.partition_ok, rep.h_basis_ok) == (
+            enumerated, dim, False, False
+        )
+        argv = ["verify"] + [f"--{k}={v}" for k, v in zip("mnpr", t)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "".join(f"FAIL {spec}: {f}\n" for f in expected)
 
 
 def corrupt_gl11_supports(monkeypatch, mode):
