@@ -39,6 +39,7 @@ from .torus import (
     ExponentVector,
     TorusElement,
     TorusSpec,
+    _decoder,
     _element,
     _flat,
     _labels,
@@ -49,13 +50,6 @@ from .torus import (
 # 2-core x86 host, most of it the N x |bad| point evaluations; elimination
 # takes about 0.05 s.
 DENSE_ORACLE_LIMIT = 512
-
-
-def _sorted_positions(q: int, k: int) -> list:
-    """For every block in `itertools.product(range(q), repeat=k)` order, the
-    position of its sorted form in `combinations_with_replacement(range(q), k)`."""
-    index = {c: i for i, c in enumerate(itertools.combinations_with_replacement(range(q), k))}
-    return [index[tuple(sorted(x))] for x in itertools.product(range(q), repeat=k)]
 
 
 def _class_labelling(spec: TorusSpec, canonical):
@@ -363,10 +357,14 @@ def verify_basis(spec: TorusSpec) -> CountReport:
     failures = []
     m, n, p, q, size = spec.m, spec.n, spec.p, spec.q, spec.dimension
     keys, table = _class_labelling(spec, (s[:2] for s in _canonical_shapes(spec)))
-    # Each canonical label is its own form, so its pair lies in its class; at
-    # m = n = 1 the pairs are the labels, in flat order.
-    sa, sb, w, width = _sorted_positions(q, m), _sorted_positions(q, n), q**n, comb(q + n - 1, n)
-    pairs = keys if m == n == 1 else (sa[t // w] * width + sb[t % w] for t in keys)
+    # Each canonical label is its own form, so its pair lies in its class.
+    pairs = keys  # at m = n = 1 the pairs are the labels, in flat order
+    if (m, n) != (1, 1):
+        A, B, w = _decoder(spec, keys)
+        blocks = itertools.combinations_with_replacement
+        sa, sb = ({x: i for i, x in enumerate(blocks(range(q), k))} for k in (m, n))
+        pairs = (sa[tuple(sorted(A[t // w]))] * len(sb) + sb[tuple(sorted(B[t % w]))]
+                 for t in keys)
     partition_ok = all(table[s] == c for c, s in enumerate(pairs))
     seen = bytearray(len(keys) + 1)  # the last slot marks pairs with no class
     mixed = set()

@@ -582,6 +582,17 @@ MALFORMED_ELEMENTS = {
     "not-an-object": json.dumps([GOOD_TERM]),
 }
 
+# Element documents that are no JSON object, or name no basis, and the exact
+# message each exits 2 with.
+ELEMENT_SHAPE_FAULTS = {
+    "empty-list": ("[]", "element must be a JSON object, got list"),
+    "string": ('"x"', "element must be a JSON object, got str"),
+    "number": ("5", "element must be a JSON object, got int"),
+    "null": ("null", "element must be a JSON object, got NoneType"),
+    "unknown-basis": (element_json(basis="nope"), "basis must be 'binomial' or 'idempotent'"),
+    "basis-list": (element_json(basis=["binomial"]), "basis must be 'binomial' or 'idempotent'"),
+}
+
 MALFORMED_CONFIGS = {
     "cap-list": {"cap": [1]},
     "cap-float": {"cap": 1.5},
@@ -614,6 +625,15 @@ class TestMalformedInput:
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         self.check(*run(capsys, "verify", "--check-ss", str(bad)))
+
+    @pytest.mark.parametrize("text, message", ELEMENT_SHAPE_FAULTS.values(),
+                             ids=ELEMENT_SHAPE_FAULTS.keys())
+    def test_element_shape_messages(self, capsys, tmp_path, text, message):
+        bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+        bad.write_text(text)
+        good.write_text(element_json())
+        for argv in (["verify", "--check-ss", bad], ["mul", bad, good], ["mul", good, bad]):
+            assert run(capsys, *map(str, argv)) == (2, "", f"error: {message}\n")
 
     def test_well_formed_reference_is_accepted(self, capsys, tmp_path):
         good = tmp_path / "good.json"

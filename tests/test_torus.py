@@ -664,6 +664,93 @@ class TestDenseProduct:
         assert conversions == []
 
 
+@pytest.fixture
+def list_reads(monkeypatch):
+    """The lists of sums `multiply` reads out: it reads one through
+    `itertools.compress`, and nothing else in `torus` calls that."""
+    reads = []
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(itertools, name)
+
+        def compress(self, data, selectors):
+            reads.append(selectors)
+            return itertools.compress(data, selectors)
+
+    monkeypatch.setattr(torus, "itertools", Spy())
+    return reads
+
+
+def row_starts(f, g) -> list:
+    """The terms expanded before each row of f's pairs with g plus the
+    pairs from it on, the work `multiply` tests against 3 (m + n) r N."""
+    spent, left, starts = 0, len(f.coeffs) * len(g.coeffs), []
+    for t1 in f.coeffs:
+        starts.append(spent + left)
+        spent += sum(pair_terms(f.spec, t1, t2) for t2 in g.coeffs)
+        left -= len(g.coeffs)
+    return starts
+
+
+class TestListAccumulator:
+    """From 4 |f| |g| >= N pairs on, `multiply` sums into a list of N ints,
+    below that into a map; the product must not change."""
+
+    # (k1, k2) just below and at or above N/4 pairs; at (1,1,101,1) the
+    # exponents stay below 10, so the oracle stays small.
+    @pytest.mark.parametrize(
+        "t, below, above",
+        [
+            ((2, 1, 3, 2), (182, 1), (183, 1)),
+            ((2, 2, 5, 1), (78, 2), (157, 1)),
+            ((1, 0, 7, 1), (1, 1), (2, 1)),
+            ((1, 1, 101, 1), (50, 51), (88, 29)),
+        ],
+    )
+    def test_both_sides_of_the_list_bound(self, conversions, list_reads, t, below, above):
+        spec = TorusSpec(*t)
+        N, top = spec.dimension, min(spec.q, 10)
+        pool = [u for u, ev in enumerate(spec.labels()) if max(ev.a + ev.b) < top]
+        rng = random.Random(sum(t) * 31)
+        for k1, k2 in (below, above):
+            f, g = (
+                _element(spec, Basis.BINOMIAL, [(u, rng.randrange(1, spec.p)) for u in s])
+                for s in (rng.sample(pool, k1), rng.sample(pool, k2))
+            )
+            for x, y in ((f, g), (g, f)):
+                list_reads.clear()
+                assert multiply(x, y).terms == naive_multiply_terms(x, y), (k1, k2)
+                on_list = 4 * k1 * k2 >= N
+                assert [len(acc) for acc in list_reads] == [N] * on_list
+        assert conversions == []
+
+    def test_list_product_switches_mid_loop(self, conversions, list_reads):
+        # 729 x 18 pairs are 3 * 3 * 2 * 729 exactly: the first row runs on
+        # the list, and the terms it expands pass the bound at a later row.
+        spec = TorusSpec(2, 1, 3, 2)
+        rng = random.Random(18)
+        f, g = (seeded_element(spec, rng, k) for k in (spec.dimension, 18))
+        starts, bound = row_starts(f, g), 3 * 3 * 2 * spec.dimension
+        assert starts[0] == bound < max(starts) and 4 * starts[0] >= spec.dimension
+        fg = multiply(f, g)
+        assert len(conversions) == 2 and list_reads == []
+        assert fg.terms == naive_multiply_terms(f, g)
+
+    def test_sparse_product_allocates_no_list(self):
+        # N = 3137^2, about 9.8 * 10^6: a list of N sums would take 78 MB.
+        spec = TorusSpec(2, 0, 3137, 1)
+        f, g = monomial(spec, (1000, 7), ()), monomial(spec, (5, 2000), ())
+        tracemalloc.start()
+        try:
+            fg = multiply(f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fg.terms == naive_multiply_terms(f, g) and len(fg.terms) == 6 * 8
+        assert peak < 2**20
+
+
 class TestCoordinateMultiplication:
     def test_recurrence_example(self):
         spec = TorusSpec(1, 1, 3, 1)
@@ -828,12 +915,19 @@ class TestJson:
 
     @pytest.mark.parametrize("pad", ["", "  ", "\t"])
     def test_element_text_matches_json_dumps(self, pad):
+        # `element_documents` has zero terms and n = 0; the one template also
+        # spans m + n = 8 and 10^4 terms.
         rng = random.Random(9)
         docs = element_documents() + [
             element_to_dict(random_element(spec, rng, max_terms=5, basis=basis))
             for spec in (TorusSpec(2, 2, 3, 1), TorusSpec(1, 1, 7, 2))
             for basis in (Basis.BINOMIAL, Basis.IDEMPOTENT)
         ]
+        for spec, k in ((TorusSpec(5, 3, 3, 1), 300), (TorusSpec(1, 1, 101, 1), 10**4)):
+            support = rng.sample(range(spec.dimension), k)
+            f = _element(spec, Basis.BINOMIAL, [(u, rng.randrange(1, spec.p)) for u in support])
+            docs.append(element_to_dict(f))
+        assert len(docs[-1]["terms"]) == 10**4
         for doc in docs:
             assert element_text(doc, pad) == json.dumps(doc, indent=2).replace("\n", "\n" + pad)
 
