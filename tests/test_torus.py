@@ -500,19 +500,26 @@ def pair_terms(spec, t1, t2) -> int:
     )
 
 
+def row_starts(f, g) -> list:
+    """The terms expanded before each row of f's pairs with g plus the
+    pairs from it on, the work `multiply` tests against 3 (m + n) r N."""
+    spent, left, starts = 0, len(f.coeffs) * len(g.coeffs), []
+    for t1 in f.coeffs:
+        starts.append(spent + left)
+        spent += sum(pair_terms(f.spec, t1, t2) for t2 in g.coeffs)
+        left -= len(g.coeffs)
+    return starts
+
+
 def takes_idempotent_route(f, g) -> bool:
     """Whether some row of f's pairs with g starts where the terms expanded
     before it plus the pairs from it on pass 3 (m + n) r N, and the three
     changes of basis with every digit live are within `MAX_CHANGE_WORK`."""
     spec = f.spec
     passes = (spec.m + spec.n) * spec.r
-    spent, left, starts = 0, len(f.coeffs) * len(g.coeffs), []
-    for t1 in f.coeffs:
-        starts.append(spent + left)
-        spent += sum(pair_terms(spec, t1, t2) for t2 in g.coeffs)
-        left -= len(g.coeffs)
     work = passes * spec.dimension * (spec.p + 1) // 2
-    return max(starts) > 3 * passes * spec.dimension and work <= idempotents.MAX_CHANGE_WORK
+    past = max(row_starts(f, g)) > 3 * passes * spec.dimension
+    return past and work <= idempotents.MAX_CHANGE_WORK
 
 
 @pytest.fixture
@@ -680,17 +687,6 @@ def list_reads(monkeypatch):
 
     monkeypatch.setattr(torus, "itertools", Spy())
     return reads
-
-
-def row_starts(f, g) -> list:
-    """The terms expanded before each row of f's pairs with g plus the
-    pairs from it on, the work `multiply` tests against 3 (m + n) r N."""
-    spent, left, starts = 0, len(f.coeffs) * len(g.coeffs), []
-    for t1 in f.coeffs:
-        starts.append(spent + left)
-        spent += sum(pair_terms(f.spec, t1, t2) for t2 in g.coeffs)
-        left -= len(g.coeffs)
-    return starts
 
 
 class TestListAccumulator:
