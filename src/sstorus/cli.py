@@ -100,13 +100,18 @@ def _emit(obj) -> None:
 
 def _emit_list(docs) -> None:
     """Print the same text as `_emit(list(docs))` for `element_to_dict`
-    documents, one at a time, so the whole output is never held in memory."""
-    write = sys.stdout.write
-    head = "[\n  "
+    documents in pieces of at least 64 KiB (then the rest): the output is
+    never held whole, and unbuffered stdout takes few writes."""
+    write, head, piece, size = sys.stdout.write, "[\n  ", [], 0
     for doc in docs:
-        write(head + torus.element_text(doc, "  "))
+        piece.append(head + torus.element_text(doc, "  "))
+        size += len(piece[-1])
+        if size >= 1 << 16:
+            write("".join(piece))
+            piece, size = [], 0
         head = ",\n  "
-    write("[]\n" if head == "[\n  " else "\n]\n")
+    piece.append("[]\n" if head == "[\n  " else "\n]\n")
+    write("".join(piece))
 
 
 def cmd_mul(args, config: dict, cap: int) -> int:

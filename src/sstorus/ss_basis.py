@@ -94,7 +94,9 @@ def _indicators(spec: TorusSpec, per_pair) -> Iterator[TorusElement]:
             for a, b in map(divmod, pairs, itertools.repeat(len(b_flats))):
                 flats += [x * w + y for x in a_flats[a] for y in b_flats[b]]
             flats.sort()
-            yield _element(spec, Basis.IDEMPOTENT, zip(flats, itertools.repeat(1)))
+            f = _element(spec, Basis.IDEMPOTENT, ())
+            f.coeffs = dict.fromkeys(flats, 1)  # 1 is reduced for every p
+            yield f
 
 
 def class_sums(spec: TorusSpec) -> Iterator[TorusElement]:

@@ -526,31 +526,39 @@ def element_from_dict(data: dict, cap: int = DEFAULT_CAP) -> TorusElement:
     return _element(spec, Basis(basis), coeffs.items())
 
 
-def element_text(data: dict, pad: str = "") -> str:
-    """`json.dumps(data, indent=2)` for an `element_to_dict` document, with
-    every line after the first indented by `pad`.
-
-    One `%`-template in `element_to_dict`'s key order, its term part built
-    from m and n and repeated per term, filled from one flat list of values:
-    with an indent, json encodes through pure-Python generators, slower.
-    """
+@lru_cache(maxsize=16)
+def _text_templates(m: int, n: int, pad: str) -> tuple:
+    """`element_text`'s `%`-templates for one shape: the head up to the
+    terms, a term, the separator between terms and the close of the list."""
     i2 = "\n" + pad + "  "
     i4, i6, i8 = i2 + "  ", i2 + "    ", i2 + "      "
 
     def ints(k):
         return "[" + i8 + ("," + i8).join(["%s"] * k) + i6 + "]" if k else "[]"
 
-    term = f'{{{i6}"a": {ints(data["m"])},{i6}"b": {ints(data["n"])},{i6}"c": %s{i4}}}'
-    values = []
+    head = f'{{{i2}"m": {m},{i2}"n": {n},{i2}"p": %s,{i2}"r": %s,{i2}"basis": "%s",{i2}"terms": '
+    term = f'{{{i6}"a": {ints(m)},{i6}"b": {ints(n)},{i6}"c": %s{i4}}}'
+    return head, term, "," + i4, f"{i2}]\n{pad}}}"
+
+
+def element_text(data: dict, pad: str = "") -> str:
+    """`json.dumps(data, indent=2)` for an `element_to_dict` document, with
+    every line after the first indented by `pad`.
+
+    One `%`-template in `element_to_dict`'s key order, built from the shape's
+    cached parts with the term part repeated per term, filled from one flat
+    list of values: with an indent, json encodes through pure-Python
+    generators, slower.
+    """
+    head, term, sep, close = _text_templates(data["m"], data["n"], pad)
+    values = [data["p"], data["r"], data["basis"]]  # a `Basis` value: no escapes
     for t in data["terms"]:
-        values += t["a"] + t["b"]
+        values += t["a"]
+        values += t["b"]
         values.append(t["c"])
-    terms = ("," + i4).join([term] * len(data["terms"])) % tuple(values)
-    return (
-        f'{{{i2}"m": {data["m"]},{i2}"n": {data["n"]},{i2}"p": {data["p"]},'
-        f'{i2}"r": {data["r"]},{i2}"basis": {json.dumps(data["basis"])},'
-        f'{i2}"terms": {"[" + i4 + terms + i2 + "]" if terms else "[]"}\n{pad}}}'
-    )
+    k = len(data["terms"])
+    body = "[" + sep[1:] + sep.join([term] * k) + close if k else "[]\n" + pad + "}"
+    return (head + body) % tuple(values)
 
 
 def element_to_json(f: TorusElement) -> str:

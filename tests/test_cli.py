@@ -338,6 +338,34 @@ class TestBasis:
             _emit_list(iter(items))
             assert capsys.readouterr().out == json.dumps(items, indent=2) + "\n"
 
+    def test_emit_list_writes_in_64_kib_pieces(self, monkeypatch):
+        class Spy:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+        big = [element_to_dict(e) for e in ss_basis.class_sums(TorusSpec(2, 2, 5, 1))]
+        for docs in ([], element_documents()[:1], big + element_documents()):
+            spy = Spy()
+            monkeypatch.setattr(sys, "stdout", spy)
+            _emit_list(iter(docs))
+            monkeypatch.undo()
+            out = "".join(spy.writes)
+            assert out == json.dumps(docs, indent=2) + "\n"
+            assert len(spy.writes) <= -(-len(out.encode()) // 2**16) + 1
+            assert all(len(w) >= 2**16 for w in spy.writes[:-1])
+        assert len(out) > 2**16 and len(spy.writes) > 1
+
+    # sha256 goldens of `basis` at the benchmark's specs: 2.5, 2.3 and 0.9 MB
+    @pytest.mark.parametrize("t", [(3, 3, 5, 1), (2, 2, 11, 1), (2, 2, 3, 2)])
+    def test_output_matches_digest(self, capsys, t):
+        code, out, err = run(capsys, "basis", *spec_flags(*t))
+        assert (code, err) == (0, "")
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert f"{digest}  -\n" == (DATA / ("basis_%d_%d_%d_%d.sha256" % t)).read_text()
+
 
 class TestVerify:
     def test_single_spec(self, capsys):

@@ -46,6 +46,7 @@ from sstorus.idempotents import (
     to_idempotent_basis,
 )
 from sstorus.supersymmetry import is_multiple_of_linear, phi, shift_substitute
+from sstorus.ss_basis import build_Ha, class_sums
 from util import (
     element_documents,
     integer_monomial_product,
@@ -927,6 +928,26 @@ class TestJson:
         for doc in docs:
             assert element_text(doc, pad) == json.dumps(doc, indent=2).replace("\n", "\n" + pad)
 
+    def test_text_templates_cached_per_shape(self):
+        # Shapes and pads interleaved, more (m, n, pad) than the cache holds,
+        # so entries are evicted and rebuilt between uses; (2,2,3,1) and
+        # (2,2,5,2) share a template but not p, r or the basis.
+        rng = random.Random(33)
+        specs = (TorusSpec(5, 3, 3, 1), TorusSpec(4, 0, 3, 1), TorusSpec(2, 2, 3, 1), TorusSpec(2, 2, 5, 2))
+        docs = element_documents() + [element_to_dict(TorusElement(specs[0], Basis.IDEMPOTENT, {}))]
+        docs += [element_to_dict(random_element(spec, rng, max_terms=4, basis=basis))
+                 for spec, basis in zip(specs, [Basis.BINOMIAL, Basis.IDEMPOTENT] * 2)]
+        pads = ["", "  ", "\t", "   "]
+        maxsize = torus._text_templates.cache_parameters()["maxsize"]
+        assert maxsize is not None
+        assert len({(d["m"], d["n"]) for d in docs}) * len(pads) > maxsize
+        torus._text_templates.cache_clear()
+        for _ in range(2):
+            for pad in pads:
+                for doc in docs:
+                    assert element_text(doc, pad) == json.dumps(doc, indent=2).replace("\n", "\n" + pad)
+        assert torus._text_templates.cache_info().currsize <= maxsize
+
     def test_terms_sorted_and_coefficients_in_range(self):
         spec = TorusSpec(2, 1, 3, 1)
         f = random_element(spec, random.Random(8), max_terms=6)
@@ -1172,3 +1193,6 @@ class TestInternalConstructor:
             assert add(f, scale(-1, f)).is_zero()
             for res in results:
                 assert_like_public(res)
+        # `_indicators` stores coefficient 1 without reducing it mod p
+        for res in [*class_sums(spec), *(build_Ha(spec, a) for a in range(spec.q))]:
+            assert_like_public(res)
