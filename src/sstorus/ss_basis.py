@@ -362,7 +362,7 @@ def verify_basis(spec: TorusSpec) -> CountReport:
     # Each canonical label is its own form, so its pair lies in its class.
     pairs = keys  # at m = n = 1 the pairs are the labels, in flat order
     if (m, n) != (1, 1):
-        A, B, w = _decoder(spec, keys)
+        A, B, w = _decoder(spec)
         blocks = itertools.combinations_with_replacement
         sa, sb = ({x: i for i, x in enumerate(blocks(range(q), k))} for k in (m, n))
         pairs = (sa[tuple(sorted(A[t // w]))] * len(sb) + sb[tuple(sorted(B[t % w]))]

@@ -80,9 +80,6 @@ class ExponentVector(tuple):
     def __getnewargs__(self):
         return tuple(self)
 
-    def total(self) -> int:
-        return sum(self[0]) + sum(self[1])
-
     def __repr__(self):
         return "ExponentVector(a=%r, b=%r)" % self
 
@@ -193,44 +190,42 @@ def _checked_flat(spec: TorusSpec, a, b) -> int:
 
 _new, _pair, _label_text = object.__new__, tuple.__new__, ExponentVector.__str__
 
-# At most this many blocks, q^m + q^n, are tabled once per (q, m, n) for
-# decoding labels; a larger algebra decodes from the blocks at hand.
-BLOCK_TABLE_LIMIT = 1 << 14
+# A block map holds at most this many blocks, and `_block_map` keeps four
+# maps: at most 4 x 2^14 blocks in all.
+BLOCK_MAP_SIZE = 1 << 14
 
 
-@lru_cache(maxsize=4)
-def _block_tables(q: int, m: int, n: int):
-    """(A, B, q^n) with A and B the lists of all q^m and all q^n blocks in
-    flat order, or None above `BLOCK_TABLE_LIMIT` blocks."""
-    if q**m + q**n > BLOCK_TABLE_LIMIT:
-        return None
-    return *(list(itertools.product(range(q), repeat=k)) for k in (m, n)), q**n
+class _BlockMap(dict):
+    """The map from each block int u < q^k to its k base-q digits, as a
+    tuple, each formed on its first lookup and kept; the map empties before
+    it would pass `BLOCK_MAP_SIZE` blocks."""
+
+    __slots__ = ("q", "k")
+
+    def __init__(self, q: int, k: int):
+        self.q, self.k = q, k
+
+    def __missing__(self, u: int) -> tuple:
+        if len(self) >= BLOCK_MAP_SIZE:
+            self.clear()
+        q = self.q
+        self[u] = block = tuple([u // q**s % q for s in range(self.k - 1, -1, -1)])
+        return block
 
 
-def _decoder(spec: TorusSpec, keys):
-    """(A, B, w) such that the label at each flat index t in `keys` is
-    (A[t // w], B[t % w]): `_block_tables` where they exist, else maps from
-    the blocks of `keys` alone, so a sparse element of a large algebra
-    costs its size."""
-    q, m, n = spec.q, spec.m, spec.n
-    tables = _block_tables(q, m, n)
-    if tables:
-        return tables
-    w = q**n
-    return _blocks({t // w for t in keys}, q, m), _blocks({t % w for t in keys}, q, n), w
+_block_map = lru_cache(maxsize=4)(_BlockMap)
+
+
+def _decoder(spec: TorusSpec):
+    """(A, B, w) such that the label at flat index t is (A[t // w], B[t % w])."""
+    q, n = spec.q, spec.n
+    return _block_map(q, spec.m), _block_map(q, n), q**n
 
 
 def _labels(spec: TorusSpec, keys) -> list:
     """The labels at the flat indices `keys`, in order."""
-    A, B, w = _decoder(spec, keys)
+    A, B, w = _decoder(spec)
     return [_pair(ExponentVector, (A[t // w], B[t % w])) for t in keys]
-
-
-def _blocks(us, q: int, k: int) -> dict:
-    """The map from each u in `us` to its k base-q digits, as a tuple."""
-    us = list(us)
-    digits = [[u // q**s % q for u in us] for s in range(k - 1, -1, -1)]
-    return dict(zip(us, zip(*digits) if k else itertools.repeat(())))
 
 
 def _flat(label, q: int) -> int:
@@ -470,7 +465,7 @@ def element_to_dict(f: TorusElement) -> dict:
     """JSON-ready form; terms sorted by label, coefficients in [1, p)."""
     spec, coeffs = f.spec, f.coeffs
     keys = sorted(coeffs)
-    A, B, w = _decoder(spec, keys)
+    A, B, w = _decoder(spec)
     return {
         "m": spec.m,
         "n": spec.n,

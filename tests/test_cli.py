@@ -358,8 +358,9 @@ class TestBasis:
             assert all(len(w) >= 2**16 for w in spy.writes[:-1])
         assert len(out) > 2**16 and len(spy.writes) > 1
 
-    # sha256 goldens of `basis` at the benchmark's specs: 2.5, 2.3 and 0.9 MB
-    @pytest.mark.parametrize("t", [(3, 3, 5, 1), (2, 2, 11, 1), (2, 2, 3, 2)])
+    # sha256 goldens of `basis` at the benchmark's specs, 2.5, 2.3 and 0.9 MB,
+    # and at (2,0,131,1), whose 17,161 x-blocks pass a block map's bound
+    @pytest.mark.parametrize("t", [(3, 3, 5, 1), (2, 2, 11, 1), (2, 2, 3, 2), (2, 0, 131, 1)])
     def test_output_matches_digest(self, capsys, t):
         code, out, err = run(capsys, "basis", *spec_flags(*t))
         assert (code, err) == (0, "")

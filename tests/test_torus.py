@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import json
 import os
@@ -34,6 +35,9 @@ from sstorus.torus import (
     zero,
     PRODUCT_CACHE_TERMS,
     PRODUCT_TERMS_MAX,
+    BLOCK_MAP_SIZE,
+    _BlockMap,
+    _block_map,
     _element,
     _flat,
     _labels,
@@ -1143,6 +1147,33 @@ class TestLabelView:
         first = f.terms
         monkeypatch.setattr("sstorus.torus._labels", None)
         assert f.terms == first and f.coefficient(next(iter(first))) == first[next(iter(first))]
+
+
+class TestBlockMaps:
+    """Labels decode through one bounded block map per (q, k), each block's
+    digits formed on its first lookup."""
+
+    def test_decode_past_the_bound_empties_the_map_midway(self):
+        # (2,0,131,1) has 131^2 = 17,161 x-blocks, more than one map holds.
+        spec = TorusSpec(2, 0, 131, 1)
+        _block_map.cache_clear()
+        assert _labels(spec, range(spec.dimension)) == list(spec.labels())
+        assert len(_block_map(131, 2)) == spec.dimension - BLOCK_MAP_SIZE
+        assert dict(_block_map(131, 0)) == {0: ()}
+
+    def test_maps_are_few_and_bounded(self):
+        maxsize = _block_map.cache_info().maxsize
+        assert maxsize is not None and maxsize * BLOCK_MAP_SIZE <= 4 * 2**14
+        for t in [(2, 0, 131, 1), (3, 3, 5, 1), (1, 2, 3, 2), (2, 2, 11, 1), (3, 0, 37, 1)]:
+            spec = TorusSpec(*t)
+            rng = random.Random(spec.dimension)
+            keys = rng.sample(range(spec.dimension), min(spec.dimension, 20_000))
+            labels = list(spec.labels())
+            assert _labels(spec, keys) == [labels[k] for k in keys]
+        gc.collect()
+        live = [o for o in gc.get_objects() if type(o) is _BlockMap]
+        assert 0 < len(live) <= maxsize
+        assert all(len(blocks) <= BLOCK_MAP_SIZE for blocks in live)
 
 
 class TestInternalConstructor:

@@ -373,7 +373,7 @@ def class_signature(ev, spec):
     d = defect(ev, spec)
     if d == 0:
         return (0, tuple(sorted(ev.a)), tuple(sorted(ev.b)))
-    return (d, *_unmatched_residues(ev.a, ev.b, spec.p), ev.total() % spec.q)
+    return (d, *_unmatched_residues(ev.a, ev.b, spec.p), (sum(ev.a) + sum(ev.b)) % spec.q)
 
 
 def symmetrize_by_permutations(ev, spec):
@@ -393,7 +393,7 @@ def build_Ha_by_labels(spec, a):
     terms = {
         ev: 1
         for ev in spec.labels()
-        if ev.total() % q == a and any((u + v) % p == 0 for u in ev.a for v in ev.b)
+        if (sum(ev.a) + sum(ev.b)) % q == a and any((u + v) % p == 0 for u in ev.a for v in ev.b)
     }
     return TorusElement(spec, Basis.IDEMPOTENT, terms)
 
