@@ -53,68 +53,62 @@ def is_ordinary(ev: ExponentVector, spec: TorusSpec) -> bool:
     return not is_special(ev, spec)
 
 
-def _unmatched_residues(a: tuple, b: tuple, p: int):
-    """Residues of the entries of the label (a | b) left out of a maximum
-    matching, one sorted tuple per block.
+def _canonical_form(a: tuple, b: tuple, p: int, q: int) -> tuple:
+    """The canonical label of the class of (a | b), unchecked, as the tuple
+    (a, b, defect, e, f) that `_canonical_shapes` yields.  Both blocks must
+    be sorted: the class depends only on their multisets, and a label of
+    defect zero with sorted blocks is its own canonical label, returned as is.
 
     Compatible pairs are those of opposite residues, so the compatibility
     graph is a disjoint union of complete bipartite pieces, one per residue,
-    and matching each a entry to any b entry still free in its piece is
-    maximum.  The work is O(m + n), whatever p is.
+    and matching each a entry to any b entry still free in its piece is a
+    maximum matching, in O(m + n) whatever p is.  For positive defect the
+    matched entries collapse into the canonical shape, the unmatched entries
+    are replaced by their sorted residues, and the slot at position f
+    absorbs whatever multiple of p keeps the total constant mod q.
     """
-    free = {}
+    free = {}  # -v mod p -> how many b entries v still unmatched
     for v in b:
-        v %= p
+        v = -v % p
         free[v] = free.get(v, 0) + 1
     ra = []
     for v in a:
         v %= p
-        partner = -v % p
-        k = free.get(partner)
+        k = free.get(v)
         if k:
-            free[partner] = k - 1
+            free[v] = k - 1
         else:
             ra.append(v)
-    rb = [tau for tau, k in free.items() for _ in range(k)]
-    return tuple(sorted(ra)), tuple(sorted(rb))
-
-
-def _canonical_form(a: tuple, b: tuple, p: int, q: int) -> tuple:
-    """The canonical label of the class of (a | b), unchecked, as the tuple
-    (a, b, defect, e, f) that `_canonical_shapes` yields.
-
-    Defect zero just sorts both blocks.  For positive defect the matched
-    entries collapse into the canonical shape, the unmatched entries are
-    replaced by their residues, and the slot at position f absorbs whatever
-    multiple of p keeps the total constant mod q.
-    """
-    ra, rb = _unmatched_residues(a, b, p)
     d = len(a) - len(ra)
     if d == 0:
-        return tuple(sorted(a)), tuple(sorted(b)), 0, None, None
+        return a, b, 0, None, None
+    ra.sort()
+    rb = sorted(-tau % p for tau, k in free.items() for _ in range(k))
     # Zero residues sort first: they join the matched zeros of the shape.
-    e = d + ra.count(0)
-    f = d + rb.count(0)
+    e, f = d + ra.count(0), d + rb.count(0)
     bf = (sum(a) + sum(b) - sum(ra) - sum(rb)) % q
-    return (0,) * e + ra[e - d :], (0,) * (f - 1) + (bf,) + rb[f - d :], d, e, f
+    return (0,) * e + tuple(ra[e - d :]), (0,) * (f - 1) + (bf, *rb[f - d :]), d, e, f
+
+
+def _label_form(ev: ExponentVector, spec: TorusSpec) -> tuple:
+    """`_canonical_form` of a checked label, its blocks sorted first."""
+    spec.check_label(ev)
+    return _canonical_form(tuple(sorted(ev.a)), tuple(sorted(ev.b)), spec.p, spec.q)
 
 
 def defect(ev: ExponentVector, spec: TorusSpec) -> int:
     """Maximum number of disjoint pairs (i, j) with a_i + b_j = 0 mod p."""
-    spec.check_label(ev)
-    return len(ev.a) - len(_unmatched_residues(ev.a, ev.b, spec.p)[0])
+    return _label_form(ev, spec)[2]
 
 
 def is_canonical(ev: ExponentVector, spec: TorusSpec) -> bool:
     # The canonical label of a class is its own canonical form.
-    spec.check_label(ev)
-    return _canonical_form(ev.a, ev.b, spec.p, spec.q)[:2] == ev
+    return _label_form(ev, spec)[:2] == ev
 
 
 def canonicalize(ev: ExponentVector, spec: TorusSpec) -> CanonicalLabel:
     """The canonical label equivalent to ev (see `_canonical_form`)."""
-    spec.check_label(ev)
-    a, b, d, e, f = _canonical_form(ev.a, ev.b, spec.p, spec.q)
+    a, b, d, e, f = _label_form(ev, spec)
     return CanonicalLabel(ExponentVector(a, b), d, e, f)
 
 

@@ -84,14 +84,11 @@ def _parse_label(text: str) -> ExponentVector:
     left, sep, right = text.partition("|")
     if not sep:
         raise ValueError("label must look like 'a1,..,am|b1,..,bn'")
-
-    def parse_side(side: str) -> tuple:
-        side = side.strip()
-        if not side:
-            return ()
-        return tuple(int(tok) for tok in side.replace(" ", "").split(","))
-
-    return ExponentVector(parse_side(left), parse_side(right))
+    sides = [[t.strip() for t in side.split(",")] if side.strip() else [] for side in (left, right)]
+    for tok in sides[0] + sides[1]:
+        if not (tok.isascii() and tok.removeprefix("-").isdigit()):
+            raise ValueError(f"label entry {tok!r} is not an integer")
+    return ExponentVector(*(map(int, side) for side in sides))
 
 
 def _emit(obj) -> None:

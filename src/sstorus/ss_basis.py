@@ -59,15 +59,15 @@ def _class_labelling(spec: TorusSpec, canonical):
     index by bisection, or -1 if absent; both are `array('q')`s.  A repeated
     key, or one out of order that bisection misses, leaves a rank untaken.
 
-    The form depends only on the sorted blocks (defect zero sorts them; the
-    unmatched residues and the total are multiset functions), so it is formed
-    once per pair of sorted blocks, C(q + m - 1, m) C(q + n - 1, n) times.
+    `_canonical_form` takes sorted blocks (see its docstring), and the
+    pairs come sorted, so it runs once per pair, C(q + m - 1, m) C(q + n - 1, n)
+    times; `canonicalize` sorts a label's blocks itself.
     """
     m, n, p, q = spec.m, spec.n, spec.p, spec.q
     keys = array("q", map(_flat, canonical, itertools.repeat(q)))
 
     def rank(form: tuple) -> int:
-        t = _flat(form, q) if form else -1
+        t = _flat(form, q)
         s = bisect_left(keys, t)
         return s if s < len(keys) and keys[s] == t else -1
 

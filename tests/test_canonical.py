@@ -7,6 +7,7 @@ import pytest
 from sstorus.canonical import (
     CanonicalLabel,
     EquivClass,
+    _canonical_form,
     _counts_by_defect,
     _rectangle_sum,
     canonicalize,
@@ -31,6 +32,7 @@ from util import (
     shape_is_canonical,
     split_sum_defect,
     split_sum_total,
+    unmatched_residues,
 )
 
 SMALL_SPECS = [
@@ -141,6 +143,30 @@ class TestDefect:
             spec = TorusSpec(*t)
             for ev in spec.labels():
                 assert defect(ev, spec) == matching_defect(ev, spec), (t, ev)
+
+    # The residue counts behind `class_signature` and `shape_is_canonical`
+    # leave out as many entries of each block as the brute-force matching.
+    @pytest.mark.parametrize("t", [(2, 2, 3, 1), (3, 2, 2, 2), (2, 3, 5, 1)])
+    def test_reference_residues_match_matching_oracle(self, t):
+        spec = TorusSpec(*t)
+        for ev in spec.labels():
+            ra, rb = unmatched_residues(ev, spec.p)
+            d = matching_defect(ev, spec)
+            assert (len(ra), len(rb)) == (spec.m - d, spec.n - d), ev
+            assert ra == tuple(sorted(ra)) and rb == tuple(sorted(rb)), ev
+
+    # `_canonical_form` takes sorted blocks; at defect zero they are their
+    # own canonical label and come back as the very tuples given.
+    @pytest.mark.parametrize("t", [(2, 2, 5, 1), (3, 1, 2, 2), (1, 3, 3, 1)])
+    def test_canonical_form_returns_special_sorted_blocks(self, t):
+        spec = TorusSpec(*t)
+        for ev in spec.labels():
+            a, b = tuple(sorted(ev.a)), tuple(sorted(ev.b))
+            form = _canonical_form(a, b, spec.p, spec.q)
+            if is_special(ev, spec):
+                assert form[0] is a and form[1] is b and form[2:] == (0, None, None), ev
+            else:
+                assert form[2] == matching_defect(ev, spec) > 0, ev
 
     @pytest.mark.parametrize("p", [2, 3, 5, 997])
     def test_matches_matching_oracle_random(self, p):

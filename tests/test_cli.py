@@ -197,6 +197,8 @@ class TestCanonical:
             ("canonical_2_2_3_1_defect1.json", (*spec_flags(2, 2, 3, 1), "1,2|2,0")),
             ("canonical_1_1_2_2.json", (*spec_flags(1, 1, 2, 2), "3|3")),
             ("canonical_2_2_3_1_defect0.json", (*spec_flags(2, 2, 3, 1), "2,1|0,0")),
+            # positive defect, both blocks out of order
+            ("canonical_2_2_3_1_unsorted.json", (*spec_flags(2, 2, 3, 1), "2,0|2,1")),
         ],
     )
     def test_output_matches_golden(self, capsys, golden, flags):

@@ -21,6 +21,10 @@ GOOD_TERM = {"a": [1], "b": [0], "c": 1}
 GOOD_ELEMENT = {"m": 1, "n": 1, "p": 3, "r": 1, "basis": "binomial", "terms": [GOOD_TERM]}
 GOOD_CONFIG = {"cap": 1000, "grid": [[1, 1, 2, 1]]}
 DEEP = "[" * 100_000  # too deep for the JSON parser
+# Label entries that `int` reads or that read as one entry once the spaces
+# are dropped: at (1,1,11,1) each label would be answered as (10|0) or (1|0).
+BAD_ENTRIES = {"1 0|0": "1 0", "1_0|0": "1_0", "\u0661|0": "\u0661", "+1|0": "+1"}
+P11 = ["--m", "1", "--n", "1", "--p", "11", "--r", "1"]
 
 
 def broken_texts(doc, rng):
@@ -82,6 +86,8 @@ def argv_cases(rng):
     wrong_arity = ",".join("1" * (m + 1)) + "|" + ",".join("0" * n)
     for bad_label in ("|", "1,|0", wrong_arity, "1", "x|0"):
         cases[f"canonical-label={bad_label!r}"] = ["canonical", *flags(), bad_label]
+    for bad_label in BAD_ENTRIES:
+        cases[f"canonical-p=11-label={bad_label!r}"] = ["canonical", *P11, bad_label]
     cases["canonical-without-label"] = ["canonical", *flags()]
     cases["no-command"] = []
     cases["unknown-command"] = ["frobnicate"]
@@ -133,8 +139,15 @@ def test_well_formed_inputs_are_accepted(capsys, tmp_path):
         (["mul", "FILE", "GOOD"], json.dumps(GOOD_ELEMENT)),
         (["verify", "--grid", "--config", "FILE"], json.dumps(GOOD_CONFIG)),
         (["canonical", *spec, "1|0"], None),
+        (["canonical", "--m", "2", *spec[2:], " 1, 2 |0"], None),
         (["count", *spec], None),
     ):
         code, out, err = outcome(capsys, tmp_path, argv, text)
         assert (code, err) == (0, ""), argv
         assert json.loads(out)
+
+
+@pytest.mark.parametrize("label, entry", BAD_ENTRIES.items())
+def test_bad_label_entry_is_named(capsys, tmp_path, label, entry):
+    code, out, err = outcome(capsys, tmp_path, ["canonical", *P11, label], None)
+    assert (code, out, err) == (2, "", f"error: label entry {entry!r} is not an integer\n")

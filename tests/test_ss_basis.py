@@ -8,7 +8,6 @@ import pytest
 
 from sstorus import canonical, fp_linalg, ss_basis, supersymmetry
 from sstorus.canonical import (
-    _canonical_form,
     canonicalize,
     count_canonical_total,
     enumerate_canonical,
@@ -43,6 +42,7 @@ from util import (
     _label_components,
     build_H,
     build_Ha_by_labels,
+    class_signature,
     coeff_vectors,
     divisibility_rows_by_element,
     per_label,
@@ -569,37 +569,44 @@ def verify_peak(spec):
 
 
 def per_label_classes(spec):
-    """The class labelling with one `_canonical_form` per label: for every
-    label, in label order, the position of its form among the sorted
-    `_canonical_shapes`, or None if absent."""
-    p, q = spec.p, spec.q
-    index = {shape: i for i, shape in enumerate(sorted(canonical._canonical_shapes(spec)))}
-    rng = range(q)
-    return [
-        index.get(_canonical_form(a, b, p, q))
-        for a in itertools.product(rng, repeat=spec.m)
-        for b in itertools.product(rng, repeat=spec.n)
-    ]
+    """The class labelling by `class_signature`, without `_canonical_form`:
+    for every label, in label order, the position among the sorted
+    `_canonical_shapes` of the shape with the label's signature, or None if
+    no shape has it."""
+    shapes = sorted(s[:2] for s in canonical._canonical_shapes(spec))
+    index = {class_signature(ExponentVector(*s), spec): i for i, s in enumerate(shapes)}
+    return [index.get(class_signature(ev, spec)) for ev in spec.labels()]
+
+
+def zero_residue_counts(ev, p):
+    """The split indices (e, f) that a canonical label of positive defect has:
+    its blocks hold units after the multiples of p, so these count them."""
+    return tuple(sum(v % p == 0 for v in block) for block in ev)
 
 
 class TestLabelClasses:
-    # The class table reads each label's form at its sorted blocks; only this
-    # test would see a form that depends on the order within a block.
+    # `_canonical_form` takes sorted blocks and the class table reads each
+    # label's class at its sorted blocks: both rest on every BFS class
+    # holding the label with the blocks of each member sorted.
     @pytest.mark.parametrize("t", LABELLING_SPECS)
     def test_form_depends_only_on_sorted_blocks(self, t):
         spec = TorusSpec(*t)
-        p, q = spec.p, spec.q
-        for ev in spec.labels():
-            sorted_form = _canonical_form(tuple(sorted(ev.a)), tuple(sorted(ev.b)), p, q)
-            assert _canonical_form(ev.a, ev.b, p, q) == sorted_form, ev
+        for c in enumerate_canonical(spec):
+            members = set(enumerate_equivalence_class(c, spec).members)
+            for ev in members:
+                assert ExponentVector(sorted(ev.a), sorted(ev.b)) in members, ev
 
     # `verify` checks only that each shape's (a, b) is its own class; this
-    # checks its defect, e and f too.
+    # checks its defect, e and f too, against the shape walk and the
+    # residue counts of tests/util.py.
     @pytest.mark.parametrize("t", LABELLING_SPECS)
     def test_shapes_are_their_own_forms(self, t):
         spec = TorusSpec(*t)
-        for shape in canonical._canonical_shapes(spec):
-            assert _canonical_form(*shape[:2], spec.p, spec.q) == shape
+        for a, b, d, e, f in canonical._canonical_shapes(spec):
+            ev = ExponentVector(a, b)
+            assert shape_is_canonical(ev, spec), ev
+            assert d == class_signature(ev, spec)[0], ev
+            assert (e, f) == (zero_residue_counts(ev, spec.p) if d else (None, None)), ev
 
     @pytest.mark.parametrize("t", LABELLING_SPECS)
     def test_table_labelling_equals_per_label_forms(self, t):
@@ -673,14 +680,19 @@ class TestLabelClasses:
         bfs = bfs_classes(spec)
         assert classes == bfs
 
+    # Every label, blocks in any order: `canonicalize` lands on a canonical
+    # shape with the label's closed-form class signature, defect and split.
     @pytest.mark.parametrize("t", LABELLING_SPECS)
     def test_closed_form_equals_canonicalize(self, t):
         spec = TorusSpec(*t)
         for ev in spec.labels():
             c = canonicalize(ev, spec)
-            assert _canonical_form(ev.a, ev.b, spec.p, spec.q) == (
-                c.ev.a, c.ev.b, c.defect, c.e, c.f
-            ), ev
+            sig = class_signature(ev, spec)
+            assert shape_is_canonical(c.ev, spec), ev
+            assert class_signature(c.ev, spec) == sig, ev
+            assert c.defect == sig[0], ev
+            split = zero_residue_counts(c.ev, spec.p) if c.defect else (None, None)
+            assert (c.e, c.f) == split, ev
 
     # (1,1,3,1) runs the dense oracle, which builds elements; above the
     # threshold verify builds none at all, gl(1|1) generators included.
@@ -819,7 +831,7 @@ def corrupt_one_class(monkeypatch, spec, mode):
         form = original(a, b, p, q)
         is_member = (a, b) == (member.a, member.b)
         if mode == "drop" and is_member:
-            return ()
+            return (q,) + a[1:], b, 0, None, None  # no label has an entry q
         if mode == "merge" and form == form_of(other):
             return form_of(target)
         if mode == "move" and is_member:
@@ -875,10 +887,15 @@ class TestVerifyBasisCatchesCorruption:
 
 def corrupt_shapes(monkeypatch, mode):
     """Make `verify_basis` read the canonical shapes with the first one
-    twice ("repeat") or with the first two exchanged ("swap")."""
+    twice ("repeat"), with the first two exchanged ("swap"), or with the
+    label (1,..,1 | p-1,..,p-1), whose pair sums are all divisible by p, as
+    one more shape of defect zero at its lexicographic place ("divisible")."""
     original = ss_basis._canonical_shapes
 
     def corrupted(spec):
+        if mode == "divisible":
+            extra = ((1,) * spec.m, (spec.p - 1,) * spec.n, 0, None, None)
+            return iter(sorted([*original(spec), extra], key=lambda s: s[:2]))
         first, second, *rest = original(spec)
         return iter([first, first, second, *rest] if mode == "repeat" else [second, first, *rest])
 
@@ -902,6 +919,26 @@ class TestVerifyBasisCatchesShapeCorruption:
         assert rep.failures == expected
         assert (rep.enumerated, rep.oracle_dim, rep.partition_ok, rep.h_basis_ok) == (
             enumerated, dim, False, False
+        )
+        argv = ["verify"] + [f"--{k}={v}" for k, v in zip("mnpr", t)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "".join(f"FAIL {spec}: {f}\n" for f in expected)
+
+    # `verify` reads the defect-zero shapes unchecked.  A label with a
+    # divisible pair taken for one is not its own form, so no pair takes its
+    # rank: the partition, independence and count checks catch it.
+    @pytest.mark.parametrize("t, dim", [((1, 1, 5, 1), 21), ((2, 1, 5, 1), 55)])
+    def test_reports_divisible_pair_as_defect_zero(self, monkeypatch, capsys, t, dim):
+        spec = TorusSpec(*t)
+        corrupt_shapes(monkeypatch, "divisible")
+        expected = [
+            PARTITION, "class sums are linearly dependent", SPAN,
+            f"count mismatch: closed form {dim}, enumerated {dim + 1}",
+        ]
+        rep = verify_basis(spec)
+        assert rep.failures == expected
+        assert (rep.enumerated, rep.oracle_dim, rep.partition_ok, rep.h_basis_ok) == (
+            dim + 1, dim, False, False
         )
         argv = ["verify"] + [f"--{k}={v}" for k, v in zip("mnpr", t)]
         assert main(argv) == 1

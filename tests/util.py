@@ -4,15 +4,14 @@ independent brute-force oracles the library is checked against."""
 import itertools
 import operator
 from array import array
+from collections import Counter
 from functools import lru_cache
 from itertools import repeat
 from math import comb
 
 from sstorus.canonical import (
-    _unmatched_residues,
     count_c,
     count_c_prime,
-    defect,
     enumerate_equivalence_class,
 )
 from sstorus.idempotents import evaluate_point, idempotent_h
@@ -260,7 +259,7 @@ def shape_is_canonical(ev, spec):
     shape of the module docstring of `sstorus.canonical` directly, without
     `_canonical_form`."""
     p = spec.p
-    d = defect(ev, spec)
+    d = len(ev.a) - len(unmatched_residues(ev, p)[0])
     a, b = ev.a, ev.b
     if d == 0:
         return all(a[i] <= a[i + 1] for i in range(len(a) - 1)) and all(
@@ -363,6 +362,18 @@ def compositions(total, parts):
             yield (first,) + rest
 
 
+def unmatched_residues(ev, p):
+    """The residues of the entries of ev left out of a maximum matching, one
+    sorted tuple per block, from residue counts alone: the a entries of
+    residue r and the b entries of residue -r mod p are pairwise compatible
+    and compatible with nothing else, so the fewer of them all match."""
+    counts = [Counter(v % p for v in block) for block in (ev.a, ev.b)]
+    return tuple(
+        tuple(sorted(r for r, k in c.items() for _ in range(k - min(k, other[-r % p]))))
+        for c, other in (counts, counts[::-1])
+    )
+
+
 def class_signature(ev, spec):
     """Complete invariant of the equivalence class of ev, a second one
     beside the canonical form.
@@ -370,10 +381,11 @@ def class_signature(ev, spec):
     Defect zero: the pair of sorted blocks.  Positive defect: the defect,
     the unmatched residue multisets of both blocks, and the total mod q.
     """
-    d = defect(ev, spec)
+    ra, rb = unmatched_residues(ev, spec.p)
+    d = len(ev.a) - len(ra)
     if d == 0:
         return (0, tuple(sorted(ev.a)), tuple(sorted(ev.b)))
-    return (d, *_unmatched_residues(ev.a, ev.b, spec.p), (sum(ev.a) + sum(ev.b)) % spec.q)
+    return (d, ra, rb, (sum(ev.a) + sum(ev.b)) % spec.q)
 
 
 def symmetrize_by_permutations(ev, spec):
